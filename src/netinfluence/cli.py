@@ -12,7 +12,6 @@ exactly when a payload was produced.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -33,8 +32,6 @@ from .solver import (
     exhaustive_nash_check,
     greedy_best_response,
 )
-
-WORKERS_ENV = "NETINFLUENCE_WORKERS"
 
 
 class ProfileFormatError(ValueError):
@@ -155,6 +152,17 @@ def _budgets_arg(text: str) -> tuple[int, ...]:
     return budgets
 
 
+def _resolve_regime(args, report: Report) -> tuple[str, int]:
+    """Payoff regime and horizon from ``--consensus``/``--horizon``, echoed to the report."""
+    regime = "consensus" if args.consensus else "horizon"
+    if regime == "horizon" and args.horizon is None:
+        raise ValueError("pass --horizon for finite-horizon payoffs or --consensus")
+    report.param("regime", regime)
+    if regime == "horizon":
+        report.param("horizon", args.horizon)
+    return regime, args.horizon if args.horizon is not None else 1
+
+
 def _emit(report: Report, args, started: float) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     sys.stdout.write(report.render(args.structured, elapsed_ms))
@@ -179,7 +187,6 @@ def cmd_simulate(args) -> int:
     report.param("horizon", cfg.horizon)
     report.param("normalize", str(args.normalize).lower())
     report.param("consensus_tol", fmt(args.consensus_tol))
-    report.param("workers", args.workers)
 
     payoffs = utility(cfg, profile)
 
@@ -220,7 +227,6 @@ def cmd_centrality(args) -> int:
     if not args.eigen:
         report.param("horizon", args.horizon)
     report.param("normalize", str(args.normalize).lower())
-    report.param("workers", args.workers)
 
     if args.eigen:
         weights = eigenvector_weights(gamma).weights
@@ -252,33 +258,22 @@ def cmd_best_response(args) -> int:
     budgets[args.player] = args.budget
     for j, s in zip(expected, others):
         budgets[j] = max(1, len(s))
-    regime = "consensus" if args.consensus else "horizon"
-    horizon = args.horizon if args.horizon is not None else 1
-    if regime == "horizon" and args.horizon is None:
-        raise ValueError("pass --horizon for finite-horizon payoffs or --consensus")
-    cfg = GameConfig(g, tuple(budgets), horizon=horizon, alpha=args.alpha, epsilon=args.epsilon)
 
     report = Report("best-response")
     report.param("graph", args.graph)
     report.param("opponents", args.opponents)
     report.param("player", args.player)
     report.param("budget", args.budget)
-    report.param("regime", regime)
-    if regime == "horizon":
-        report.param("horizon", cfg.horizon)
+    regime, horizon = _resolve_regime(args, report)
+    cfg = GameConfig(g, tuple(budgets), horizon=horizon, alpha=args.alpha, epsilon=args.epsilon)
     report.param("alpha", fmt(cfg.alpha))
     report.param("epsilon", fmt(cfg.epsilon))
-    report.param("workers", args.workers)
 
     results = {}
     if args.exact:
-        results["exact"] = exact_best_response(
-            cfg, args.player, others, regime=regime, workers=args.workers
-        )
+        results["exact"] = exact_best_response(cfg, args.player, others, regime=regime)
     if args.greedy:
-        results["greedy"] = greedy_best_response(
-            cfg, args.player, others, regime=regime, workers=args.workers
-        )
+        results["greedy"] = greedy_best_response(cfg, args.player, others, regime=regime)
     for method in ("exact", "greedy"):
         if method in results:
             br = results[method]
@@ -294,23 +289,16 @@ def cmd_best_response(args) -> int:
 def cmd_nash(args) -> int:
     started = time.perf_counter()
     g = _read_graph(args.graph, args.normalize)
-    regime = "consensus" if args.consensus else "horizon"
-    horizon = args.horizon if args.horizon is not None else 1
-    if regime == "horizon" and args.horizon is None:
-        raise ValueError("pass --horizon for finite-horizon payoffs or --consensus")
-    cfg = GameConfig(g, args.budgets, horizon=horizon, alpha=args.alpha, epsilon=args.epsilon)
 
     report = Report("nash")
     report.param("graph", args.graph)
     report.param("nodes", g.node_count)
-    report.param("budgets", ",".join(str(b) for b in cfg.budgets))
-    report.param("regime", regime)
-    if regime == "horizon":
-        report.param("horizon", cfg.horizon)
+    report.param("budgets", ",".join(str(b) for b in args.budgets))
+    regime, horizon = _resolve_regime(args, report)
+    cfg = GameConfig(g, args.budgets, horizon=horizon, alpha=args.alpha, epsilon=args.epsilon)
     report.param("alpha", fmt(cfg.alpha))
     report.param("epsilon", fmt(cfg.epsilon))
     report.param("mode", "dynamics" if args.dynamics else "exhaustive")
-    report.param("workers", args.workers)
 
     if args.dynamics:
         if args.initial:
@@ -325,7 +313,6 @@ def cmd_nash(args) -> int:
             max_rounds=args.max_rounds,
             use_exact=not args.greedy,
             regime=regime,
-            workers=args.workers,
         )
         report.line(f"kind {outcome.kind}")
         for i, s in enumerate(outcome.profile):
@@ -396,13 +383,6 @@ def cmd_generate(args) -> int:
 
 def _add_common(parser, graph_input: bool = True):
     parser.add_argument("--structured", action="store_true", help="machine-oriented report layout")
-    default_workers = int(os.environ.get(WORKERS_ENV, "1"))
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=default_workers,
-        help=f"solver worker threads (default from ${WORKERS_ENV} or 1)",
-    )
     if graph_input:
         parser.add_argument("--normalize", action="store_true", help="rescale incoming weights to sum to one on load")
 

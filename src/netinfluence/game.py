@@ -123,23 +123,39 @@ def as_profile(profile) -> StrategyProfile:
     return StrategyProfile(profile)
 
 
-def check_profile(cfg: GameConfig, profile: StrategyProfile, require_nonempty: bool = True):
-    """Validate a profile against a configuration.
+def check_seed_set(cfg: GameConfig, i: int, s, require_nonempty: bool = True):
+    """Validate player ``i``'s seed set against a configuration.
 
-    Raises ValueError on a player-count mismatch, an empty seed set (payoffs
-    are defined for seeded players only), a busted budget, or an unknown
-    node id.
+    Raises ValueError on an empty seed set (payoffs are defined for seeded
+    players only), a busted budget, or an unknown node id.
     """
+    if require_nonempty and not s:
+        raise ValueError(f"player {i} has an empty seed set")
+    if len(s) > cfg.budgets[i]:
+        raise ValueError(f"player {i} seeds {len(s)} nodes, over their budget {cfg.budgets[i]}")
+    for v in s:
+        if not 0 <= v < cfg.n:
+            raise ValueError(f"player {i} seeds unknown node id {v}")
+
+
+def check_profile(cfg: GameConfig, profile: StrategyProfile, require_nonempty: bool = True):
+    """Validate a profile's player count, then each seed set via ``check_seed_set``."""
     if len(profile) != cfg.m:
         raise ValueError(f"profile has {len(profile)} players but the game has {cfg.m}")
-    for i, (s, b) in enumerate(zip(profile, cfg.budgets)):
-        if require_nonempty and not s:
-            raise ValueError(f"player {i} has an empty seed set")
-        if len(s) > b:
-            raise ValueError(f"player {i} seeds {len(s)} nodes, over their budget {b}")
-        for v in s:
-            if not 0 <= v < cfg.n:
-                raise ValueError(f"player {i} seeds unknown node id {v}")
+    for i, s in enumerate(profile):
+        check_seed_set(cfg, i, s, require_nonempty)
+
+
+def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int], ...]:
+    """Validate player ``i``'s index and opponents (player order, ``i`` skipped) as frozensets."""
+    if not 0 <= i < cfg.m:
+        raise ValueError(f"player index {i} out of range for {cfg.m} players")
+    others = tuple(frozenset(s) for s in s_minus_i)
+    if len(others) != cfg.m - 1:
+        raise ValueError(f"expected {cfg.m - 1} opposing seed sets, got {len(others)}")
+    for j, s in enumerate(others):
+        check_seed_set(cfg, j + (j >= i), s)
+    return others
 
 
 @lru_cache(maxsize=64)
@@ -250,18 +266,11 @@ def marginal_gain(cfg: GameConfig, i: int, partial, v: int, s_minus_i) -> float:
     player ``i`` skipped.  Evaluated in closed form over the cached influence
     table, so repeated calls inside a greedy scan stay cheap.
     """
-    if not 0 <= i < cfg.m:
-        raise ValueError(f"player index {i} out of range for {cfg.m} players")
+    others = check_opponents(cfg, i, s_minus_i)
     partial = frozenset(partial)
     if v in partial:
         raise ValueError(f"node {v} is already in the partial seed set")
-    if not 0 <= v < cfg.n:
-        raise ValueError(f"unknown node id {v}")
-    if len(partial) >= cfg.budgets[i]:
-        raise ValueError(f"player {i}'s budget {cfg.budgets[i]} is already exhausted")
-    others = [frozenset(s) for s in s_minus_i]
-    if len(others) != cfg.m - 1:
-        raise ValueError(f"expected {cfg.m - 1} opposing seed sets, got {len(others)}")
+    check_seed_set(cfg, i, partial | {v})
     table = payoff_table(cfg, "horizon")
     before = table_payoffs(table, assemble_profile(i, partial, others), cfg.epsilon)[i]
     after = table_payoffs(table, assemble_profile(i, partial | {v}, others), cfg.epsilon)[i]

@@ -9,6 +9,7 @@ are dense integers ``0 .. node_count - 1``.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,21 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
+class _EdgeError(ValueError):
+    """A bad entry in a graph's edge list; ``index`` is its position there."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable weighted digraph on dense node ids.
 
-    ``edges`` holds ``(source, target, weight)`` triples.  Duplicate edges and
-    self-loops are rejected: a node's retention of its own opinion is a
-    dynamics parameter, not an edge.
+    ``edges`` holds ``(source, target, weight)`` triples.  Duplicate edges,
+    self-loops and weights that are not finite and positive are rejected: a
+    node's retention of its own opinion is a dynamics parameter, not an edge.
     """
 
     node_count: int
@@ -45,15 +54,16 @@ class Graph:
         if self.node_count < 1:
             raise ValueError("graph must have at least one node")
         seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
+        for k, (u, v, w) in enumerate(self.edges):
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge ({u}, {v}) references an unknown node id")
+                raise _EdgeError(f"edge ({u}, {v}) references an unknown node id", k)
             if u == v:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            if not w > 0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+                raise _EdgeError(f"self-loop at node {u} is not allowed", k)
+            if not 0 < w < math.inf:
+                kind = "non-finite" if not math.isfinite(w) else "non-positive"
+                raise _EdgeError(f"edge ({u}, {v}) has {kind} weight {w}", k)
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise _EdgeError(f"duplicate edge ({u}, {v})", k)
             seen.add((u, v))
 
     def in_weight_sums(self) -> np.ndarray:
@@ -138,17 +148,19 @@ def load_graph(source, normalize: bool = False) -> Graph:
     Args:
         source: document text or iterable of lines.
         normalize: rescale each node's incoming weights to sum to one after
-            parsing (nodes with no incoming edges are left untouched).
+            parsing and checking the raw weights (nodes with no incoming
+            edges are left untouched).
 
     Raises:
-        GraphFormatError: on any malformed line, with its line number.
+        GraphFormatError: on any malformed line or edge ``Graph`` rejects,
+            with its line number.
     """
     if isinstance(source, str):
         source = source.splitlines()
 
     node_count: int | None = None
     edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
+    edge_lines = array("q")
     for line_no, raw in enumerate(source, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -171,27 +183,19 @@ def load_graph(source, normalize: bool = False) -> Graph:
             w = float(tokens[3])
         except ValueError:
             raise GraphFormatError(f"bad edge tokens {tokens[1:]!r}", line_no) from None
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise GraphFormatError(f"edge ({u}, {v}) references an unknown node id", line_no)
-        if u == v:
-            raise GraphFormatError(f"self-loop at node {u} is not allowed", line_no)
-        if not w > 0:
-            raise GraphFormatError(f"edge ({u}, {v}) has non-positive weight {w}", line_no)
-        if (u, v) in seen:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", line_no)
-        seen.add((u, v))
         edges.append((u, v, w))
+        edge_lines.append(line_no)
 
     if node_count is None:
         raise GraphFormatError("empty document: missing 'nodes <count>' header")
 
-    if normalize:
-        sums = np.zeros(node_count)
-        for _, v, w in edges:
-            sums[v] += w
-        edges = [(u, v, w / sums[v]) if sums[v] > 0 else (u, v, w) for u, v, w in edges]
-
-    return Graph(node_count, tuple(edges))
+    try:
+        if normalize:
+            sums = Graph(node_count, tuple(edges)).in_weight_sums().tolist()
+            edges = [(u, v, w / sums[v]) for u, v, w in edges]
+        return Graph(node_count, tuple(edges))
+    except _EdgeError as exc:
+        raise GraphFormatError(str(exc), edge_lines[exc.index]) from None
 
 
 def dump_graph(g: Graph) -> str:
@@ -277,9 +281,12 @@ def random_graph(n: int, out_degree: int, seed: int) -> Graph:
     for u in range(n):
         missing = out_degree - len(targets[u])
         if missing > 0:
-            allowed = sorted(set(range(n)) - {u} - targets[u])
-            picked = rng.choice(len(allowed), size=missing, replace=False)
-            targets[u].update(allowed[j] for j in picked)
+            # Draw positions among the allowed ids; the k-th excluded id has k
+            # fewer allowed ids below it, which locates each position's id.
+            excluded = sorted(targets[u] | {u})
+            picked = rng.choice(n - len(excluded), size=missing, replace=False)
+            below = np.array(excluded) - np.arange(len(excluded))
+            targets[u].update((picked + np.searchsorted(below, picked, side="right")).tolist())
 
     raw = {}
     for u in range(n):

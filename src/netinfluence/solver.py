@@ -3,16 +3,13 @@
 All comparisons between strategies treat payoff differences below
 ``IMPROVEMENT_TOL`` as ties, so solver outputs are reproducible bit-for-bit:
 enumeration orders are fixed, ties break toward lexicographically smallest
-seed sets (lowest node id for the greedy scan), and parallel scans reduce in
-submission order regardless of completion order.
+seed sets (lowest node id for the greedy scan).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +20,7 @@ from .game import (
     StrategyProfile,
     as_profile,
     assemble_profile,
+    check_opponents,
     check_profile,
     payoff_table,
     table_payoffs,
@@ -31,7 +29,6 @@ from .game import (
 IMPROVEMENT_TOL = 1e-12
 EXACT_ENUMERATION_CAP = 5_000_000
 PROFILE_ENUMERATION_CAP = 10_000_000
-_BATCH_SIZE = 2048
 
 
 class EnumerationCapError(RuntimeError):
@@ -76,74 +73,29 @@ class NashOutcome:
     trace: tuple[Move, ...]
 
 
-def _check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int], ...]:
-    if not 0 <= i < cfg.m:
-        raise ValueError(f"unknown player index {i}")
-    others = [frozenset(s) for s in s_minus_i]
-    if len(others) != cfg.m - 1:
-        raise ValueError(f"expected {cfg.m - 1} opposing seed sets, got {len(others)}")
-    opponent_budgets = [b for j, b in enumerate(cfg.budgets) if j != i]
-    for j, (s, b) in enumerate(zip(others, opponent_budgets)):
-        if not s:
-            raise ValueError("every opponent must seed at least one node")
-        if len(s) > b:
-            raise ValueError(f"an opponent seeds {len(s)} nodes, over their budget {b}")
-        for v in s:
-            if not 0 <= v < cfg.n:
-                raise ValueError(f"unknown node id {v} in an opponent's seed set")
-    return tuple(others)
-
-
-def _eval_batch(table, i, others, epsilon, batch):
-    """Best candidate within one batch, under the shared tie-breaking rule."""
-    best_pay = -math.inf
-    best = None
-    for cand in batch:
-        pay = table_payoffs(table, assemble_profile(i, cand, others), epsilon)[i]
-        if pay > best_pay + IMPROVEMENT_TOL:
-            best_pay, best = pay, cand
-    return best_pay, best, len(batch)
-
-
-def _batches(iterable, size):
-    it = iter(iterable)
-    while True:
-        batch = list(itertools.islice(it, size))
-        if not batch:
-            return
-        yield batch
-
-
-def _scan_best(table, i, others, epsilon, candidates, workers):
-    """Scan candidate seed sets for player ``i``; earliest candidate wins ties.
-
-    With several workers, batches are evaluated concurrently but reduced in
-    submission order, so the answer matches the candidate order, not thread
-    timing.
-    """
+def _scan_best(table, i, others, epsilon, candidates):
+    """Best payoff, best candidate and candidates scored for player ``i``; earliest wins ties."""
     best_pay = -math.inf
     best = None
     total = 0
-
-    def absorb(pay, cand, count):
-        nonlocal best_pay, best, total
-        total += count
-        if cand is not None and pay > best_pay + IMPROVEMENT_TOL:
+    for cand in candidates:
+        pay = table_payoffs(table, assemble_profile(i, cand, others), epsilon)[i]
+        total += 1
+        if pay > best_pay + IMPROVEMENT_TOL:
             best_pay, best = pay, cand
-
-    if workers <= 1:
-        for batch in _batches(candidates, _BATCH_SIZE):
-            absorb(*_eval_batch(table, i, others, epsilon, batch))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            for batch in _batches(candidates, _BATCH_SIZE):
-                pending.append(pool.submit(_eval_batch, table, i, others, epsilon, batch))
-                if len(pending) >= 2 * workers:
-                    absorb(*pending.popleft().result())
-            while pending:
-                absorb(*pending.popleft().result())
     return best_pay, best, total
+
+
+def _full_budget_sets(cfg: GameConfig, p: int, cap: int):
+    """Player ``p``'s full-budget seed sets in lexicographic order, at most ``cap`` of them."""
+    b = min(cfg.budgets[p], cfg.n)
+    total = math.comb(cfg.n, b)
+    if total > cap:
+        raise EnumerationCapError(
+            f"player {p} has {total} candidate seed sets, over the cap of {cap}; "
+            "use greedy_best_response or raise the cap"
+        )
+    return itertools.combinations(range(cfg.n), b)
 
 
 def exact_best_response(
@@ -152,7 +104,6 @@ def exact_best_response(
     s_minus_i,
     regime: str = "horizon",
     cap: int = EXACT_ENUMERATION_CAP,
-    workers: int = 1,
 ) -> BestResponse:
     """Exhaustive best response for player ``i`` against fixed opponents.
 
@@ -167,22 +118,14 @@ def exact_best_response(
         regime: ``"horizon"`` for finite-horizon payoffs, ``"consensus"`` for
             the stationary regime.
         cap: refuse to enumerate more candidate sets than this.
-        workers: evaluate candidates in parallel batches when above one.
 
     Raises:
         EnumerationCapError: when ``comb(n, budget)`` exceeds ``cap``.
     """
-    others = _check_opponents(cfg, i, s_minus_i)
-    b = min(cfg.budgets[i], cfg.n)
-    total = math.comb(cfg.n, b)
-    if total > cap:
-        raise EnumerationCapError(
-            f"player {i} has {total} candidate seed sets, over the cap of {cap}; "
-            "use greedy_best_response or raise the cap"
-        )
+    others = check_opponents(cfg, i, s_minus_i)
+    candidates = _full_budget_sets(cfg, i, cap)
     table = payoff_table(cfg, regime)
-    candidates = itertools.combinations(range(cfg.n), b)
-    payoff, best, evaluations = _scan_best(table, i, others, cfg.epsilon, candidates, workers)
+    payoff, best, evaluations = _scan_best(table, i, others, cfg.epsilon, candidates)
     return BestResponse(frozenset(best), payoff, evaluations)
 
 
@@ -191,7 +134,6 @@ def greedy_best_response(
     i: int,
     s_minus_i,
     regime: str = "horizon",
-    workers: int = 1,
 ) -> BestResponse:
     """Greedy best response: repeatedly add the node with the largest gain.
 
@@ -200,7 +142,7 @@ def greedy_best_response(
     and with budget one it is exact.  Ties go to the lowest node id.  The
     evaluation count is ``n + (n-1) + ... + (n-b+1)``.
     """
-    others = _check_opponents(cfg, i, s_minus_i)
+    others = check_opponents(cfg, i, s_minus_i)
     table = payoff_table(cfg, regime)
     b = min(cfg.budgets[i], cfg.n)
     chosen: set[int] = set()
@@ -208,7 +150,7 @@ def greedy_best_response(
     evaluations = 0
     for _ in range(b):
         candidates = (tuple(sorted(chosen | {v})) for v in range(cfg.n) if v not in chosen)
-        pay, best, count = _scan_best(table, i, others, cfg.epsilon, candidates, workers)
+        pay, best, count = _scan_best(table, i, others, cfg.epsilon, candidates)
         evaluations += count
         chosen = set(best)
         payoff = pay
@@ -223,7 +165,6 @@ def best_response_dynamics(
     regime: str = "horizon",
     cap: int = EXACT_ENUMERATION_CAP,
     order_seed: int | None = None,
-    workers: int = 1,
 ) -> NashOutcome:
     """Round-robin improvement play until a fixed point, a revisit, or the budget.
 
@@ -255,9 +196,9 @@ def best_response_dynamics(
         for i in order:
             others = [s for j, s in enumerate(strategies) if j != i]
             if use_exact:
-                br = exact_best_response(cfg, i, others, regime=regime, cap=cap, workers=workers)
+                br = exact_best_response(cfg, i, others, regime=regime, cap=cap)
             else:
-                br = greedy_best_response(cfg, i, others, regime=regime, workers=workers)
+                br = greedy_best_response(cfg, i, others, regime=regime)
             current = table_payoffs(table, tuple(strategies), cfg.epsilon)[i]
             if br.payoff > current + IMPROVEMENT_TOL:
                 trace.append(Move(i, strategies[i], br.strategy, float(br.payoff - current)))
@@ -354,20 +295,11 @@ def consensus_equilibrium(
 
     built: list[frozenset[int]] = []
     for rank, p in enumerate(player_order):
-        b = min(cfg.budgets[p], cfg.n)
         if rank == 0:
-            built.append(frozenset(node_order[:b]))
+            built.append(frozenset(node_order[: min(cfg.budgets[p], cfg.n)]))
             continue
-        total = math.comb(cfg.n, b)
-        if total > cap:
-            raise EnumerationCapError(
-                f"player {p} has {total} candidate seed sets, over the cap of {cap}"
-            )
-        best_pay, best = -math.inf, None
-        for cand in itertools.combinations(range(cfg.n), b):
-            pay = table_payoffs(table, tuple(built) + (frozenset(cand),), cfg.epsilon)[rank]
-            if pay > best_pay + IMPROVEMENT_TOL:
-                best_pay, best = pay, cand
+        candidates = _full_budget_sets(cfg, p, cap)
+        _, best, _ = _scan_best(table, rank, built, cfg.epsilon, candidates)
         built.append(frozenset(best))
 
     sets: list[frozenset[int] | None] = [None] * cfg.m

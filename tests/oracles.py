@@ -4,7 +4,8 @@ Everything here is built straight from a graph's edge list with plain numpy,
 on purpose sharing no code with the package: the mixing operator is assembled
 entry by entry, the stationary weights come from a dense least-squares solve
 instead of power iteration, and payoffs come from an explicit simulation of
-the averaging recurrence.
+the averaging recurrence.  ``random_graph_edges_oracle`` is the random
+generator written the plain quadratic way, to pin the package's faster one.
 """
 
 from __future__ import annotations
@@ -88,3 +89,31 @@ def singleton_equilibria_oracle(g, alpha, epsilon, horizon, m):
         if stable:
             equilibria.append(tuple(sets))
     return equilibria
+
+
+def random_graph_edges_oracle(n: int, out_degree: int, seed: int):
+    """Edge list of ``random_graph(n, out_degree, seed)``, drawn the plain way.
+
+    Same random draws in the same order as the package's generator, but each
+    node's extra targets are picked from an explicitly built sorted list of
+    the allowed ids, which costs O(n) per node.
+    """
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    targets = [set() for _ in range(n)]
+    for k in range(n):
+        targets[order[k]].add(int(order[(k + 1) % n]))
+    for u in range(n):
+        missing = out_degree - len(targets[u])
+        if missing > 0:
+            allowed = sorted(set(range(n)) - {u} - targets[u])
+            picked = rng.choice(len(allowed), size=missing, replace=False)
+            targets[u].update(allowed[j] for j in picked)
+    raw = {}
+    for u in range(n):
+        for v in sorted(targets[u]):
+            raw[(u, v)] = rng.uniform(0.5, 1.5)
+    sums = np.zeros(n)
+    for (_, v), w in raw.items():
+        sums[v] += w
+    return tuple((u, v, float(w / sums[v])) for (u, v), w in sorted(raw.items()))

@@ -387,6 +387,19 @@ def test_malformed_graph_reports_line_number(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+def test_non_finite_weight_is_a_one_line_error(capsys, tmp_path, weight, normalize):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(f"nodes 2\nedge 0 1 {weight}\nedge 1 0 1.0\n")
+    code, out, err = run_cli(capsys, ["centrality", "--graph", str(bad), "--eigen"] + normalize)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "line 2" in lines[0] and "non-finite" in lines[0]
+
+
 def test_malformed_strategy_reports_line_number(capsys, two_cycle_file, tmp_path):
     bad = tmp_path / "bad_seeds.txt"
     bad.write_text("player 0 seeds 0\nplayer one seeds 1\n")
@@ -427,15 +440,3 @@ def test_reports_are_deterministic_apart_from_timing(capsys, two_cycle_file, two
     strip = lambda out: [l for l in out.splitlines() if not l.startswith("time_ms")]
     assert strip(first) == strip(second)
 
-
-def test_workers_flag_does_not_change_results(capsys, random_graph_file, tmp_path):
-    opp = tmp_path / "opp.txt"
-    opp.write_text("player 0 seeds 1\n")
-    args = ["best-response", "--graph", random_graph_file, "--player", "1",
-            "--opponents", str(opp), "--budget", "2", "--exact",
-            "--horizon", "3", "--structured"]
-    _, serial, _ = run_cli(capsys, args + ["--workers", "1"])
-    _, parallel, _ = run_cli(capsys, args + ["--workers", "4"])
-    strip = lambda out: [l for l in out.splitlines()
-                         if not (l.startswith("time_ms") or l.startswith("param workers"))]
-    assert strip(serial) == strip(parallel)

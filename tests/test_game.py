@@ -284,6 +284,10 @@ def test_marginal_gain_error_paths():
         marginal_gain(cfg, 2, set(), 0, [{1}])
     with pytest.raises(ValueError, match="opposing seed sets"):
         marginal_gain(cfg, 0, set(), 0, [{1}, {1}])
+    with pytest.raises(ValueError, match="unknown node"):
+        marginal_gain(cfg, 0, set(), 0, [{-1}])
+    with pytest.raises(ValueError, match="unknown node"):
+        marginal_gain(cfg, 0, set(), 0, [{2}])
 
 
 def test_gains_are_nonnegative_and_diminishing_fuzz():

@@ -17,6 +17,8 @@ from netinfluence import (
     validate,
 )
 
+from oracles import random_graph_edges_oracle
+
 TWO_CYCLE = "nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"
 
 # 3-cycle whose node 2 receives 0.4 + 0.4 = 0.8 of incoming weight.
@@ -54,6 +56,8 @@ def test_parse_accepts_iterable_of_lines():
         ("nodes 2\nedge 0 0 1.0\n", 2, "self-loop"),
         ("nodes 2\nedge 0 1 0.0\n", 2, "non-positive weight"),
         ("nodes 2\nedge 0 1 -0.5\n", 2, "non-positive weight"),
+        ("nodes 2\nedge 0 1 inf\n", 2, "non-finite weight"),
+        ("nodes 2\nedge 0 1 nan\n", 2, "non-finite weight"),
         ("nodes 2\nedge 0 1 0.5\nedge 0 1 0.5\n", 3, "duplicate edge"),
     ],
 )
@@ -204,6 +208,14 @@ def test_random_graph_degree_one_is_a_cycle():
 def test_random_graph_is_deterministic():
     assert random_graph(20, 3, seed=1).edges == random_graph(20, 3, seed=1).edges
     assert random_graph(20, 3, seed=1).edges != random_graph(20, 3, seed=2).edges
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (10, 3), (14, 3), (50, 4), (200, 4), (200, 199)])
+def test_random_graph_matches_reference_generator(n, d):
+    for seed in range(5):
+        g = random_graph(n, d, seed=seed)
+        assert g.edges == random_graph_edges_oracle(n, d, seed)
+        assert all(type(u) is int and type(v) is int for u, v, _ in g.edges)
 
 
 def test_random_graph_validates_and_respects_out_degree():

@@ -83,16 +83,6 @@ def test_exact_evaluation_count_and_cap():
         exact_best_response(cfg, 0, [{9}], cap=10)
 
 
-def test_exact_worker_parity():
-    g = random_graph(11, 3, seed=47)
-    cfg = GameConfig(graph=g, budgets=(3, 2), horizon=3)
-    serial = exact_best_response(cfg, 0, [{1, 2}], workers=1)
-    parallel = exact_best_response(cfg, 0, [{1, 2}], workers=3)
-    assert serial.strategy == parallel.strategy
-    assert serial.payoff == parallel.payoff
-    assert serial.evaluations == parallel.evaluations
-
-
 def test_exact_validates_opponents():
     cfg = GameConfig(graph=TWO_CYCLE, budgets=(1, 1), horizon=1)
     with pytest.raises(ValueError, match="opposing seed sets"):
@@ -134,15 +124,6 @@ def test_greedy_evaluation_count():
     greedy = greedy_best_response(cfg, 0, [{9}])
     assert greedy.evaluations == 10 + 9 + 8
     assert len(greedy.strategy) == 3
-
-
-def test_greedy_worker_parity():
-    g = random_graph(12, 3, seed=59)
-    cfg = GameConfig(graph=g, budgets=(3, 2), horizon=3)
-    serial = greedy_best_response(cfg, 0, [{1, 2}], workers=1)
-    parallel = greedy_best_response(cfg, 0, [{1, 2}], workers=3)
-    assert serial.strategy == parallel.strategy
-    assert serial.payoff == parallel.payoff
 
 
 # --- improvement dynamics ----------------------------------------------------
