@@ -16,7 +16,6 @@ from netinfluence import (
     influence_matrix,
     initialize,
     random_graph,
-    step,
     utility,
     utility_closed_form,
 )

@@ -12,17 +12,14 @@ settles.
 from .dynamics import (
     ConsensusWeights,
     InfluenceMatrix,
-    InfluenceVector,
     OpinionState,
     PowerIterationError,
     consensus_reached,
-    diffusion_centrality,
     diffusion_centrality_matrix,
     eigenvector_weights,
     evolve,
     influence_matrix,
     initialize,
-    step,
 )
 from .game import (
     GameConfig,
@@ -75,7 +72,6 @@ __all__ = [
     "GraphFormatError",
     "IMPROVEMENT_TOL",
     "InfluenceMatrix",
-    "InfluenceVector",
     "Move",
     "NashOutcome",
     "OpinionState",
@@ -90,7 +86,6 @@ __all__ = [
     "consensus_equilibrium",
     "consensus_reached",
     "consensus_utility",
-    "diffusion_centrality",
     "diffusion_centrality_matrix",
     "dump_graph",
     "eigenvector_weights",
@@ -104,7 +99,6 @@ __all__ = [
     "marginal_gain",
     "payoff_table",
     "random_graph",
-    "step",
     "table_payoffs",
     "utility",
     "utility_closed_form",

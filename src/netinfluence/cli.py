@@ -192,16 +192,12 @@ def cmd_simulate(args) -> int:
 
     if args.trace or args.state:
         gamma = influence_matrix(cfg.graph, cfg.alpha)
-        state = initialize(cfg.graph, profile, cfg.epsilon)
-        if args.trace:
-            snap = state
-            report.line("trace 0 " + " ".join(fmt(x) for x in snap.opinions.ravel()))
-            for t in range(1, cfg.horizon + 1):
-                snap = evolve(snap, gamma, 1)
-                report.line(f"trace {t} " + " ".join(fmt(x) for x in snap.opinions.ravel()))
-            final = snap
-        else:
-            final = evolve(state, gamma, cfg.horizon)
+        final = initialize(cfg.graph, profile, cfg.epsilon)
+        for t in range(cfg.horizon + 1):
+            if t:
+                final = evolve(final, gamma, 1)
+            if args.trace:
+                report.line(f"trace {t} " + " ".join(fmt(x) for x in final.opinions.ravel()))
         if args.state:
             for v in range(g.node_count):
                 report.line(f"state {v} " + " ".join(fmt(x) for x in final.opinions[v]))
@@ -371,8 +367,11 @@ def cmd_generate(args) -> int:
     document = "\n".join(header) + "\n" + dump_graph(g)
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            raise ValueError(f"cannot write graph file {args.output}: {exc.strerror}") from None
         report.param("nodes", g.node_count)
         report.param("edges", len(g.edges))
         report.line(f"written {args.output}")

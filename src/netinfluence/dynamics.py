@@ -3,9 +3,12 @@
 Opinions toward each player live on the nodes of a validated graph and evolve
 by repeated weighted averaging: at every step a node keeps a ``1 - alpha``
 share of its own opinion and absorbs an ``alpha`` share from its in-neighbors.
-The same operator yields two influence measures: finite-horizon influence
-vectors (how much a single source shapes everyone after ``t`` steps) and the
-stationary weights every opinion converges toward.
+Everything starts from one initial opinion matrix (``seeded_opinions``) and
+applies one influence operator to it: ``evolve`` applies the mixing operator
+step by step, the horizon table ``diffusion_centrality_matrix`` is its
+``t``-th power (column ``u``: how much source ``u`` shapes everyone after
+``t`` steps), and ``eigenvector_weights`` gives the stationary weights every
+opinion converges toward.
 """
 
 from __future__ import annotations
@@ -33,30 +36,25 @@ class InfluenceMatrix:
     ``W`` is the transposed weight matrix of the graph, so entry ``(v, u)``
     holds ``alpha * w(u, v)`` plus the retention term on the diagonal.  Rows
     sum to one; the diagonal is at least ``1 - alpha``, which keeps the
-    long-run behavior aperiodic.  ``entries`` is a dense array for small
-    graphs and a compressed sparse row matrix for large ones.
+    long-run behavior aperiodic.  ``entries`` is a dense array for graphs of
+    at most ``SPARSE_NODE_THRESHOLD`` nodes and a compressed sparse row
+    matrix above that.
     """
 
     n: int
     alpha: float
     entries: np.ndarray | _sparse.csr_matrix
 
-    @property
-    def is_sparse(self) -> bool:
-        return _sparse.issparse(self.entries)
-
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.entries.sum(axis=1)).ravel()
 
 
-def influence_matrix(g: Graph, alpha: float, sparse: bool | None = None) -> InfluenceMatrix:
+def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
     """Build the mixing operator for a validated graph.
 
     Args:
         g: graph whose incoming weights sum to one; validated here.
         alpha: blending weight in (0, 1) given to in-neighbors.
-        sparse: force the storage format; by default graphs above
-            ``SPARSE_NODE_THRESHOLD`` nodes use compressed sparse rows.
 
     Raises:
         ValueError: if ``alpha`` is out of range or the graph fails validation.
@@ -71,9 +69,7 @@ def influence_matrix(g: Graph, alpha: float, sparse: bool | None = None) -> Infl
             f"offending_nodes={report.offending_nodes[:5]})"
         )
     n = g.node_count
-    if sparse is None:
-        sparse = n > SPARSE_NODE_THRESHOLD
-    if sparse:
+    if n > SPARSE_NODE_THRESHOLD:
         rows = [v for _, v, _ in g.edges] + list(range(n))
         cols = [u for u, _, _ in g.edges] + list(range(n))
         data = [alpha * w for _, _, w in g.edges] + [1.0 - alpha] * n
@@ -97,13 +93,25 @@ class OpinionState:
     opinions: np.ndarray
 
 
-def initialize(g: Graph, seed_sets, epsilon: float) -> OpinionState:
-    """Initial opinions for the given per-player seed sets.
+def seeded_opinions(n: int, seed_sets, epsilon: float) -> np.ndarray:
+    """The ``n x m`` initial opinion matrix, unchecked; see ``initialize``.
 
     A node seeded by ``k`` players splits its unit of opinion equally among
     them and holds zero toward everyone else; a node seeded by nobody starts
-    at ``epsilon`` toward every player.  ``epsilon`` must stay well below the
-    smallest seeded share, hence the ``1 / (2m)`` bound.
+    at ``epsilon`` toward every player.  Empty seed sets are allowed.
+    """
+    x = np.zeros((n, len(seed_sets)))
+    for i, s in enumerate(seed_sets):
+        x[list(s), i] = 1.0
+    counts = x.sum(axis=1, keepdims=True)
+    return np.where(counts > 0, x / np.maximum(counts, 1.0), epsilon)
+
+
+def initialize(g: Graph, seed_sets, epsilon: float) -> OpinionState:
+    """Checked initial opinions for the given per-player seed sets.
+
+    Builds ``seeded_opinions`` once the inputs pass.  ``epsilon`` must stay
+    well below the smallest seeded share, hence the ``1 / (2m)`` bound.
 
     Args:
         g: the graph the opinions live on.
@@ -117,27 +125,11 @@ def initialize(g: Graph, seed_sets, epsilon: float) -> OpinionState:
     if not 0 < epsilon < 1.0 / (2 * m):
         raise ValueError(f"epsilon must lie in (0, 1/(2m)) = (0, {1.0 / (2 * m)})")
     n = g.node_count
-    x = np.zeros((n, m))
-    counts = np.zeros(n)
     for i, s in enumerate(seed_sets):
         for v in s:
             if not 0 <= v < n:
                 raise ValueError(f"player {i} seeds unknown node id {v}")
-            x[v, i] = 1.0
-            counts[v] += 1
-    seeded = counts > 0
-    x[seeded] /= counts[seeded, None]
-    x[~seeded] = epsilon
-    return OpinionState(0, x)
-
-
-def step(state: OpinionState, gamma: InfluenceMatrix) -> OpinionState:
-    """One averaging step; the input state is left untouched."""
-    if state.opinions.shape[0] != gamma.n:
-        raise ValueError(
-            f"state carries {state.opinions.shape[0]} nodes but the operator has {gamma.n}"
-        )
-    return OpinionState(state.t + 1, gamma.entries @ state.opinions)
+    return OpinionState(0, seeded_opinions(n, seed_sets, epsilon))
 
 
 def evolve(state: OpinionState, gamma: InfluenceMatrix, t_steps: int) -> OpinionState:
@@ -158,64 +150,20 @@ def evolve(state: OpinionState, gamma: InfluenceMatrix, t_steps: int) -> Opinion
     return OpinionState(state.t + t_steps, x)
 
 
-@dataclass(frozen=True, eq=False)
-class InfluenceVector:
-    """How much one source node shapes every node's opinion after ``t`` steps.
+def diffusion_centrality_matrix(gamma: InfluenceMatrix, t_steps: int) -> np.ndarray:
+    """Influence table after ``t_steps`` steps: the dense ``t``-th operator power.
 
-    Entry ``u`` is the fraction of node ``u``'s opinion attributable to the
-    source's initial opinion; the entries of a single vector need not sum to
-    one, but across all sources each node's shares do.
+    Column ``u`` is how much source ``u``'s initial opinion shapes every node;
+    each row sums to one.  ``table @ x`` equals ``evolve`` of the opinion
+    matrix ``x`` for ``t_steps``.  Built by ``t_steps`` successive products
+    with the operator.
     """
-
-    source: int
-    weights: np.ndarray
-
-
-def diffusion_centrality(gamma: InfluenceMatrix, t_steps: int, v: int) -> InfluenceVector:
-    """Finite-horizon influence vector of source ``v``.
-
-    Computed as ``t_steps`` operator applications to the indicator of ``v``.
-    """
-    if not 0 <= v < gamma.n:
-        raise ValueError(f"unknown node id {v}")
     if t_steps < 0:
         raise ValueError("t_steps must be non-negative")
-    w = np.zeros(gamma.n)
-    w[v] = 1.0
+    table = np.eye(gamma.n)
     for _ in range(t_steps):
-        w = gamma.entries @ w
-    return InfluenceVector(v, w)
-
-
-def diffusion_centrality_matrix(
-    gamma: InfluenceMatrix, t_steps: int, method: str = "iterative"
-) -> np.ndarray:
-    """All influence vectors at once: column ``u`` is the source-``u`` vector.
-
-    The default builds the table by ``t_steps`` successive products.  For very
-    large step counts, ``method="squaring"`` switches to exponentiation by
-    repeated squaring at the price of materializing intermediate powers.
-    """
-    if t_steps < 0:
-        raise ValueError("t_steps must be non-negative")
-    if method == "iterative":
-        table = np.eye(gamma.n)
-        for _ in range(t_steps):
-            table = gamma.entries @ table
-        return table
-    if method == "squaring":
-        base = gamma.entries
-        if _sparse.issparse(base):
-            base = base.toarray()
-        result = np.eye(gamma.n)
-        power = t_steps
-        while power:
-            if power & 1:
-                result = base @ result
-            base = base @ base
-            power >>= 1
-        return result
-    raise ValueError(f"unknown method {method!r}")
+        table = gamma.entries @ table
+    return table
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ opinions then mix for a fixed horizon and a player's payoff is the population
 average of the relative opinion toward them.  Payoffs can be obtained three
 ways that agree to numerical precision: direct simulation, a closed form over
 the horizon influence table, and the stationary-regime shortcut via the
-consensus weights.  The game is constant-sum: payoffs always total one.
+consensus weights.  All three apply an influence operator to the same initial
+opinion matrix and read the same relative shares off the result.  The game is
+constant-sum: payoffs always total one.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import (
+    OpinionState,
     diffusion_centrality_matrix,
     eigenvector_weights,
     evolve,
     influence_matrix,
-    initialize,
+    seeded_opinions,
 )
 from .graph import Graph
 
@@ -187,31 +190,22 @@ def payoff_table(cfg: GameConfig, regime: str = "horizon") -> np.ndarray:
     raise ValueError(f"unknown regime {regime!r}; expected 'horizon' or 'consensus'")
 
 
+def _shares(strengths: np.ndarray) -> np.ndarray:
+    """Payoffs from final opinions: the mean over rows of each column's share of its row."""
+    return (strengths / strengths.sum(axis=1, keepdims=True)).mean(axis=0)
+
+
 def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
     """Closed-form payoffs over a precomputed influence table.
 
-    Per target row, each player's strength gathers the table columns of their
-    seeds (split equally when a node is seeded by several players) plus the
-    shared ``epsilon`` mass of nodes seeded by nobody; the payoff is the mean
-    over targets of each player's share of the total strength.  Empty seed
-    sets are tolerated here, which the greedy solver relies on; the public
-    payoff routes reject them up front.
+    With ``x`` the initial opinion matrix (``seeded_opinions``), row ``r`` of
+    ``table @ x`` is target ``r``'s final opinion toward each player, and the
+    payoff is the mean over targets of each player's share of that row.  For
+    the horizon table this is exactly ``evolve`` of ``x``.  Empty seed sets
+    are tolerated here, which the greedy solver relies on; the public payoff
+    routes reject them up front.
     """
-    n = table.shape[1]
-    m = len(seed_sets)
-    counts = np.zeros(n)
-    for s in seed_sets:
-        for v in s:
-            counts[v] += 1
-    share = np.zeros((n, m))
-    for i, s in enumerate(seed_sets):
-        if s:
-            idx = list(s)
-            share[idx, i] = 1.0 / counts[idx]
-    unseeded = counts == 0
-    background = epsilon * table[:, unseeded].sum(axis=1)
-    strengths = table @ share + background[:, None]
-    return np.asarray((strengths / strengths.sum(axis=1, keepdims=True)).mean(axis=0))
+    return _shares(table @ seeded_opinions(table.shape[1], seed_sets, epsilon))
 
 
 def utility(cfg: GameConfig, profile) -> np.ndarray:
@@ -224,10 +218,8 @@ def utility(cfg: GameConfig, profile) -> np.ndarray:
     profile = as_profile(profile)
     check_profile(cfg, profile)
     gamma = _mixing_matrix(cfg.graph, cfg.alpha)
-    state = initialize(cfg.graph, profile, cfg.epsilon)
-    final = evolve(state, gamma, cfg.horizon)
-    totals = final.opinions.sum(axis=1)
-    return (final.opinions / totals[:, None]).mean(axis=0)
+    state = OpinionState(0, seeded_opinions(cfg.n, profile.strategies, cfg.epsilon))
+    return _shares(evolve(state, gamma, cfg.horizon).opinions)
 
 
 def utility_closed_form(cfg: GameConfig, profile) -> np.ndarray:

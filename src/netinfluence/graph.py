@@ -148,8 +148,8 @@ def load_graph(source, normalize: bool = False) -> Graph:
     Args:
         source: document text or iterable of lines.
         normalize: rescale each node's incoming weights to sum to one after
-            parsing and checking the raw weights (nodes with no incoming
-            edges are left untouched).
+            parsing and checking the raw weights and their finite sums
+            (nodes with no incoming edges are left untouched).
 
     Raises:
         GraphFormatError: on any malformed line or edge ``Graph`` rejects,
@@ -191,7 +191,12 @@ def load_graph(source, normalize: bool = False) -> Graph:
 
     try:
         if normalize:
-            sums = Graph(node_count, tuple(edges)).in_weight_sums().tolist()
+            Graph(node_count, tuple(edges))  # checks the raw weights
+            sums = [0.0] * node_count
+            for k, (_, v, w) in enumerate(edges):
+                sums[v] += w
+                if not math.isfinite(sums[v]):
+                    raise _EdgeError(f"incoming weights of node {v} overflow to a non-finite sum", k)
             edges = [(u, v, w / sums[v]) for u, v, w in edges]
         return Graph(node_count, tuple(edges))
     except _EdgeError as exc:

@@ -76,6 +76,14 @@ def test_generate_to_file_reports_path(capsys, tmp_path):
     assert g.node_count == 8
 
 
+def test_generate_to_unwritable_path_is_a_one_line_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "g.graph"
+    code, out, err = run_cli(capsys, ["generate", "--random", "10", "2", "1", "--output", str(target)])
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write graph file {target}: ")
+
+
 def test_generate_random_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, ["generate", "--random", "9", "2", "7"])
     _, second, _ = run_cli(capsys, ["generate", "--random", "9", "2", "7"])
@@ -398,6 +406,18 @@ def test_non_finite_weight_is_a_one_line_error(capsys, tmp_path, weight, normali
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and "line 2" in lines[0] and "non-finite" in lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalize_overflowing_weight_sum_is_a_one_line_error(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("nodes 3\nedge 0 1 1e308\nedge 2 1 1e308\nedge 1 0 1\nedge 1 2 1\n")
+    argv = ["centrality", "--graph", str(bad), "--eigen", "--normalize"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "line 3" in lines[0] and "node 1" in lines[0]
 
 
 def test_malformed_strategy_reports_line_number(capsys, two_cycle_file, tmp_path):

@@ -1,15 +1,15 @@
-"""Mixing operator, opinion evolution, influence vectors, stationary weights."""
+"""Mixing operator, opinion evolution, influence tables, stationary weights."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from netinfluence import (
     PowerIterationError,
     build_counterexample,
     consensus_reached,
-    diffusion_centrality,
     diffusion_centrality_matrix,
     eigenvector_weights,
     evolve,
@@ -17,8 +17,8 @@ from netinfluence import (
     initialize,
     load_graph,
     random_graph,
-    step,
 )
+from netinfluence import dynamics
 from oracles import build_mixing, initial_opinions_oracle, stationary_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -59,11 +59,12 @@ def test_operator_matches_independent_assembly():
     assert np.max(np.abs(np.asarray(gamma.entries) - build_mixing(g, 0.3))) < 1e-15
 
 
-def test_sparse_and_dense_agree():
+def test_sparse_and_dense_agree(monkeypatch):
     g = random_graph(25, 4, seed=2)
-    dense = influence_matrix(g, 0.5, sparse=False)
-    sparse = influence_matrix(g, 0.5, sparse=True)
-    assert sparse.is_sparse and not dense.is_sparse
+    dense = influence_matrix(g, 0.5)
+    monkeypatch.setattr(dynamics, "SPARSE_NODE_THRESHOLD", 24)
+    sparse = influence_matrix(g, 0.5)
+    assert sp.issparse(sparse.entries) and not sp.issparse(dense.entries)
     assert np.max(np.abs(sparse.entries.toarray() - dense.entries)) < 1e-15
     state = initialize(g, [{0, 3}, {5}], 1e-6)
     out_dense = evolve(state, dense, 7).opinions
@@ -126,7 +127,7 @@ def test_initialize_unknown_node_rejected():
 def test_single_step_two_cycle():
     gamma = influence_matrix(TWO_CYCLE, 0.5)
     state = initialize(TWO_CYCLE, [{0}, {1}], 1e-6)
-    after = step(state, gamma)
+    after = evolve(state, gamma, 1)
     assert after.t == 1
     assert np.allclose(after.opinions, 0.5, atol=1e-15)
     # The input state is untouched.
@@ -140,7 +141,7 @@ def test_single_step_counterexample_row_by_hand():
     gamma = influence_matrix(g, 0.5)
     eps = 1e-6
     state = initialize(g, [{0}, {3}], eps)
-    after = step(state, gamma)
+    after = evolve(state, gamma, 1)
     assert abs(after.opinions[1, 0] - (0.5 * eps + 0.25 * 1.0 + 0.25 * eps)) < 1e-15
     # Toward player 1 node 0 contributes zero, so only the epsilon terms remain.
     assert abs(after.opinions[1, 1] - 0.75 * eps) < 1e-15
@@ -152,7 +153,7 @@ def test_uniform_state_is_fixed_point():
     from netinfluence import OpinionState
 
     uniform = OpinionState(0, np.tile([0.3, 0.7], (8, 1)))
-    out = step(uniform, gamma)
+    out = evolve(uniform, gamma, 1)
     assert np.max(np.abs(out.opinions - uniform.opinions)) < 1e-14
 
 
@@ -174,16 +175,6 @@ def test_evolve_semigroup_property():
     assert np.max(np.abs(combined.opinions - split.opinions)) < 1e-14
 
 
-def test_evolve_matches_repeated_step():
-    g = random_graph(7, 2, seed=8)
-    gamma = influence_matrix(g, 0.6)
-    state = initialize(g, [{0}, {3}], 1e-6)
-    by_steps = state
-    for _ in range(6):
-        by_steps = step(by_steps, gamma)
-    assert np.array_equal(evolve(state, gamma, 6).opinions, by_steps.opinions)
-
-
 def test_evolve_rejects_bad_arguments():
     gamma = influence_matrix(TWO_CYCLE, 0.5)
     state = initialize(TWO_CYCLE, [{0}, {1}], 1e-6)
@@ -191,7 +182,7 @@ def test_evolve_rejects_bad_arguments():
         evolve(state, gamma, -1)
     other = initialize(random_graph(5, 1, seed=7), [{0}, {1}], 1e-6)
     with pytest.raises(ValueError, match="nodes"):
-        step(other, gamma)
+        evolve(other, gamma, 1)
 
 
 def test_opinions_stay_inside_initial_box():
@@ -201,7 +192,7 @@ def test_opinions_stay_inside_initial_box():
     low = state.opinions.min(axis=0)
     high = state.opinions.max(axis=0)
     for _ in range(25):
-        state = step(state, gamma)
+        state = evolve(state, gamma, 1)
         assert np.all(state.opinions.min(axis=0) >= low - 1e-15)
         assert np.all(state.opinions.max(axis=0) <= high + 1e-15)
         low = state.opinions.min(axis=0)
@@ -216,7 +207,7 @@ def test_weighted_mass_is_conserved():
     state = initialize(g, [{0, 1}, {9}], 1e-6)
     mass = c @ state.opinions
     for _ in range(100):
-        state = step(state, gamma)
+        state = evolve(state, gamma, 1)
     assert np.max(np.abs(c @ state.opinions - mass)) < 1e-10
 
 
@@ -230,46 +221,26 @@ def test_long_run_reaches_flat_columns():
     assert consensus_reached(final, 1e-8)
 
 
-# --- influence vectors -------------------------------------------------------
+# --- influence vectors: columns of the influence table ----------------------
 
 
 def test_influence_vector_zero_steps_is_indicator():
     gamma = influence_matrix(random_graph(6, 2, seed=1), 0.5)
-    vec = diffusion_centrality(gamma, 0, 4)
-    assert vec.source == 4
     expected = np.zeros(6)
     expected[4] = 1.0
-    assert np.array_equal(vec.weights, expected)
+    assert np.array_equal(diffusion_centrality_matrix(gamma, 0)[:, 4], expected)
 
 
 def test_influence_vector_two_cycle_one_step():
     gamma = influence_matrix(TWO_CYCLE, 0.5)
-    assert np.array_equal(diffusion_centrality(gamma, 1, 0).weights, [0.5, 0.5])
+    assert np.array_equal(diffusion_centrality_matrix(gamma, 1)[:, 0], [0.5, 0.5])
 
 
 def test_influence_vectors_sum_to_one_across_sources():
     g = random_graph(11, 3, seed=17)
     gamma = influence_matrix(g, 0.5)
-    table = np.column_stack([diffusion_centrality(gamma, 4, v).weights for v in range(11)])
+    table = diffusion_centrality_matrix(gamma, 4)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-9
-
-
-def test_influence_table_matches_per_source_vectors():
-    g = random_graph(9, 2, seed=19)
-    gamma = influence_matrix(g, 0.5)
-    table = diffusion_centrality_matrix(gamma, 5)
-    for v in range(9):
-        assert np.max(np.abs(table[:, v] - diffusion_centrality(gamma, 5, v).weights)) < 1e-14
-
-
-def test_influence_table_squaring_matches_iterative():
-    g = random_graph(10, 3, seed=23)
-    gamma = influence_matrix(g, 0.5)
-    a = diffusion_centrality_matrix(gamma, 13, method="iterative")
-    b = diffusion_centrality_matrix(gamma, 13, method="squaring")
-    assert np.max(np.abs(a - b)) < 1e-12
-    with pytest.raises(ValueError, match="unknown method"):
-        diffusion_centrality_matrix(gamma, 3, method="direct")
 
 
 def test_influence_table_reproduces_evolution():
@@ -283,10 +254,8 @@ def test_influence_table_reproduces_evolution():
 
 def test_influence_vector_rejects_bad_arguments():
     gamma = influence_matrix(TWO_CYCLE, 0.5)
-    with pytest.raises(ValueError, match="unknown node"):
-        diffusion_centrality(gamma, 1, 2)
     with pytest.raises(ValueError, match="non-negative"):
-        diffusion_centrality(gamma, -1, 0)
+        diffusion_centrality_matrix(gamma, -1)
 
 
 # --- stationary weights ------------------------------------------------------

@@ -183,6 +183,30 @@ def test_closed_form_agrees_with_simulation_fuzz():
         assert np.max(np.abs(sim - closed)) < 1e-10
 
 
+def test_payoff_kernel_matches_simulation_oracle_fuzz():
+    # Every player seeds a shared node; table_payoffs also sees one idle player.
+    rng = np.random.default_rng(2024)
+    for trial in range(150):
+        n = int(rng.integers(3, 12))
+        g = random_graph(n, int(rng.integers(1, min(4, n))), seed=int(rng.integers(1_000_000)))
+        m = int(rng.integers(2, 4))
+        alpha = float(rng.uniform(0.1, 0.9))
+        cfg = GameConfig(graph=g, budgets=(3,) * m, horizon=int(rng.integers(1, 9)), alpha=alpha)
+        shared = int(rng.integers(n))
+        sets = [
+            frozenset([shared, *rng.choice(n, size=int(rng.integers(0, 3)), replace=False).tolist()])
+            for _ in range(m)
+        ]
+        table = payoff_table(cfg)
+        expected = payoffs_oracle(g, alpha, cfg.epsilon, cfg.horizon, sets)
+        assert np.max(np.abs(table_payoffs(table, sets, cfg.epsilon) - expected)) < 1e-12, trial
+        assert np.max(np.abs(utility(cfg, sets) - expected)) < 1e-12, trial
+        idle = int(rng.integers(m))
+        sets[idle] = frozenset()
+        expected = payoffs_oracle(g, alpha, cfg.epsilon, cfg.horizon, sets)
+        assert np.max(np.abs(table_payoffs(table, sets, cfg.epsilon) - expected)) < 1e-12, trial
+
+
 def test_consensus_route_matches_long_simulation():
     g = random_graph(8, 3, seed=23)
     cfg_long = GameConfig(graph=g, budgets=(2, 1), horizon=10_000)

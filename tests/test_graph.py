@@ -93,6 +93,14 @@ def test_normalize_rescales_incoming_weights():
     assert validate(g).ok
 
 
+def test_normalize_rejects_overflowing_weight_sum():
+    text = "nodes 3\nedge 0 1 1e308\nedge 2 1 1e308\nedge 1 0 1\nedge 1 2 1\n"
+    load_graph(text)  # each raw weight is finite; only node 1's sum overflows
+    with pytest.raises(GraphFormatError, match="node 1 overflow") as exc_info:
+        load_graph(text, normalize=True)
+    assert exc_info.value.line == 3
+
+
 def test_validate_flags_disconnected_components():
     # Two separate 2-cycles: stochastic but not strongly connected.
     text = "nodes 4\nedge 0 1 1.0\nedge 1 0 1.0\nedge 2 3 1.0\nedge 3 2 1.0\n"
