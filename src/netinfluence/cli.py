@@ -24,7 +24,7 @@ from .dynamics import (
     influence_matrix,
     initialize,
 )
-from .game import GameConfig, StrategyProfile, utility
+from .game import GameConfig, StrategyProfile, _mixing_matrix, utility
 from .graph import Graph, GraphFormatError, build_counterexample, dump_graph, load_graph, random_graph
 from .solver import (
     best_response_dynamics,
@@ -191,7 +191,7 @@ def cmd_simulate(args) -> int:
     payoffs = utility(cfg, profile)
 
     if args.trace or args.state:
-        gamma = influence_matrix(cfg.graph, cfg.alpha)
+        gamma = _mixing_matrix(cfg.graph, cfg.alpha)
         final = initialize(cfg.graph, profile, cfg.epsilon)
         for t in range(cfg.horizon + 1):
             if t:
@@ -476,6 +476,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphFormatError, ProfileFormatError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

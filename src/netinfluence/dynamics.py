@@ -61,6 +61,14 @@ def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    n = g.node_count
+    if n > 1 and len(g.edges) < n:
+        # Every node of a strongly connected graph has an in-edge; checked
+        # first so a huge node count costs nothing before it is rejected.
+        raise ValueError(
+            f"graph fails validation ({n} nodes need at least {n} edges to be "
+            f"strongly connected, got {len(g.edges)})"
+        )
     report = validate(g)
     if not report.ok:
         raise ValueError(
@@ -68,7 +76,6 @@ def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
             f"(stochastic={report.stochastic}, strongly_connected={report.strongly_connected}, "
             f"offending_nodes={report.offending_nodes[:5]})"
         )
-    n = g.node_count
     if n > SPARSE_NODE_THRESHOLD:
         rows = [v for _, v, _ in g.edges] + list(range(n))
         cols = [u for u, _, _ in g.edges] + list(range(n))

@@ -12,6 +12,7 @@ constant-sum: payoffs always total one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -206,6 +207,50 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
     routes reject them up front.
     """
     return _shares(table @ seeded_opinions(table.shape[1], seed_sets, epsilon))
+
+
+# Bytes of table columns gathered per kernel chunk: large enough to amortize
+# numpy's per-call overhead, small enough to stay in cache and keep peak memory flat.
+_CHUNK_BYTES = 1 << 17
+
+
+def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
+    """Closed-form payoffs of many candidate seed sets for one player, chunk by chunk.
+
+    ``others`` are the opponents' seed sets; ``candidates`` is an iterable of
+    equal-size node tuples.  Yields ``(nodes, payoffs)``: a ``k x b`` array of
+    the next candidates and each one's ``table_payoffs`` entry for the
+    responding player (equal to within rounding).  The payoff depends on the
+    opponents only through each node's seed count ``c_v``.  With ``Z`` and
+    ``P`` the table's row sums over the unseeded and the opponent-seeded
+    columns, candidate ``A``'s strength at row ``r`` is
+    ``eps Z + sum_{v in A} T[r, v] (1 / (c_v + 1) - eps [c_v = 0])`` and the
+    row's total opinion is ``P + m eps Z + sum_{v in A} T[r, v] [c_v = 0] (1 - m eps)``.
+    """
+    counts = np.zeros(table.shape[1])
+    for s in others:
+        counts[list(s)] += 1.0
+    free = (counts == 0).astype(float)
+    m = len(others) + 1
+    z, p = table @ free, table @ (1.0 - free)
+    own_base, total_base = epsilon * z, p + m * epsilon * z
+    own_gain, total_gain = 1.0 / (counts + 1.0) - epsilon * free, free * (1.0 - m * epsilon)
+    candidates = iter(candidates)
+    first = next(candidates, None)
+    if first is None:
+        return
+    size = len(first)
+    rows = max(1, _CHUNK_BYTES // (8 * size * table.shape[0]))
+    candidates = itertools.chain([first], candidates)
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(candidates, rows))
+        nodes = np.fromiter(chunk, dtype=np.intp).reshape(-1, size)
+        if not len(nodes):
+            return
+        block = table.T[nodes]
+        own = own_base + np.einsum("kbr,kb->kr", block, own_gain[nodes])
+        total = total_base + np.einsum("kbr,kb->kr", block, total_gain[nodes])
+        yield nodes, (own / total).mean(axis=1)
 
 
 def utility(cfg: GameConfig, profile) -> np.ndarray:

@@ -192,7 +192,8 @@ def load_graph(source, normalize: bool = False) -> Graph:
     try:
         if normalize:
             Graph(node_count, tuple(edges))  # checks the raw weights
-            sums = [0.0] * node_count
+            # Sized by the largest target, so a huge header allocates nothing.
+            sums = [0.0] * (max((v for _, v, _ in edges), default=-1) + 1)
             for k, (_, v, w) in enumerate(edges):
                 sums[v] += w
                 if not math.isfinite(sums[v]):

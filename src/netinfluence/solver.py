@@ -4,6 +4,13 @@ All comparisons between strategies treat payoff differences below
 ``IMPROVEMENT_TOL`` as ties, so solver outputs are reproducible bit-for-bit:
 enumeration orders are fixed, ties break toward lexicographically smallest
 seed sets (lowest node id for the greedy scan).
+
+One batched scorer rates candidate seed sets: ``game._candidate_payoffs``
+streams them in fixed-size chunks and scores a whole chunk against fixed
+opponents with a few array operations.  The exact and greedy scans, the
+construction step of ``consensus_equilibrium`` and ``exhaustive_nash_check``
+all go through it; a best response's reported payoff is its winner's
+``table_payoffs`` value.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from .game import (
     GameConfig,
     StrategyProfile,
+    _candidate_payoffs,
     as_profile,
     assemble_profile,
     check_opponents,
@@ -74,15 +82,22 @@ class NashOutcome:
 
 
 def _scan_best(table, i, others, epsilon, candidates):
-    """Best payoff, best candidate and candidates scored for player ``i``; earliest wins ties."""
+    """Best payoff, best candidate and candidates scored for player ``i``; earliest wins ties.
+
+    A candidate wins only by beating the best so far by more than
+    ``IMPROVEMENT_TOL``, so only a chunk's strict running maxima can win.  The
+    winner is scored again with ``table_payoffs``, whose value is reported.
+    """
     best_pay = -math.inf
     best = None
     total = 0
-    for cand in candidates:
-        pay = table_payoffs(table, assemble_profile(i, cand, others), epsilon)[i]
-        total += 1
-        if pay > best_pay + IMPROVEMENT_TOL:
-            best_pay, best = pay, cand
+    for nodes, pays in _candidate_payoffs(table, others, epsilon, candidates):
+        total += len(pays)
+        ahead = np.concatenate(([-math.inf], np.maximum.accumulate(pays)[:-1]))
+        for k in np.flatnonzero(pays > np.maximum(ahead, best_pay + IMPROVEMENT_TOL)):
+            if pays[k] > best_pay + IMPROVEMENT_TOL:
+                best_pay, best = pays[k], tuple(nodes[k].tolist())
+    best_pay = table_payoffs(table, assemble_profile(i, best, others), epsilon)[i]
     return best_pay, best, total
 
 
@@ -229,20 +244,25 @@ def exhaustive_nash_check(
     Raises:
         EnumerationCapError: when the profile count exceeds ``cap``.
     """
-    options = [
-        list(itertools.combinations(range(cfg.n), min(b, cfg.n))) for b in cfg.budgets
-    ]
-    shape = tuple(len(o) for o in options)
+    sizes = [min(b, cfg.n) for b in cfg.budgets]
+    shape = tuple(math.comb(cfg.n, b) for b in sizes)
     total = math.prod(shape)
     if total > cap:
         raise EnumerationCapError(
             f"{total} profiles exceed the cap of {cap}; shrink the instance or raise the cap"
         )
+    options = [list(itertools.combinations(range(cfg.n), b)) for b in sizes]
     table = payoff_table(cfg, regime)
     payoffs = np.empty(shape + (cfg.m,))
-    for idx in itertools.product(*(range(k) for k in shape)):
-        sets = tuple(frozenset(options[j][idx[j]]) for j in range(cfg.m))
-        payoffs[idx] = table_payoffs(table, sets, cfg.epsilon)
+    for j in range(cfg.m):
+        rest = [k for k in range(cfg.m) if k != j]
+        for idx in itertools.product(*(range(shape[k]) for k in rest)):
+            others = [options[k][x] for k, x in zip(rest, idx)]
+            row = payoffs[idx[:j] + (slice(None),) + idx[j:] + (j,)]
+            start = 0
+            for _, pays in _candidate_payoffs(table, others, cfg.epsilon, options[j]):
+                row[start : start + len(pays)] = pays
+                start += len(pays)
 
     stable = np.ones(shape, dtype=bool)
     for j in range(cfg.m):

@@ -6,11 +6,20 @@ entry by entry, the stationary weights come from a dense least-squares solve
 instead of power iteration, and payoffs come from an explicit simulation of
 the averaging recurrence.  ``random_graph_edges_oracle`` is the random
 generator written the plain quadratic way, to pin the package's faster one.
+``scan_best_oracle`` and ``exhaustive_nash_oracle`` are the exceptions: they
+are the solver loops that score one candidate or one profile per
+``table_payoffs`` call, kept to pin the batched scoring kernel to them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
+
+from netinfluence.game import assemble_profile, payoff_table, table_payoffs
+from netinfluence.solver import IMPROVEMENT_TOL
 
 
 def build_mixing(g, alpha: float) -> np.ndarray:
@@ -67,8 +76,6 @@ def singleton_equilibria_oracle(g, alpha, epsilon, horizon, m):
     Brute force over every assignment of one seed per player, checking every
     single-node deviation with the simulated payoffs above.
     """
-    import itertools
-
     n = g.node_count
     equilibria = []
     for assignment in itertools.product(range(n), repeat=m):
@@ -117,3 +124,35 @@ def random_graph_edges_oracle(n: int, out_degree: int, seed: int):
     for (_, v), w in raw.items():
         sums[v] += w
     return tuple((u, v, float(w / sums[v])) for (u, v), w in sorted(raw.items()))
+
+
+def scan_best_oracle(table, i, others, epsilon, candidates):
+    """``solver._scan_best`` with one ``table_payoffs`` call per candidate; earliest wins ties."""
+    best_pay = -math.inf
+    best = None
+    total = 0
+    for cand in candidates:
+        pay = table_payoffs(table, assemble_profile(i, cand, others), epsilon)[i]
+        total += 1
+        if pay > best_pay + IMPROVEMENT_TOL:
+            best_pay, best = pay, cand
+    return best_pay, best, total
+
+
+def exhaustive_nash_oracle(cfg, regime: str = "horizon"):
+    """Canonical forms of ``exhaustive_nash_check``'s equilibria, one ``table_payoffs`` call per profile."""
+    options = [
+        list(itertools.combinations(range(cfg.n), min(b, cfg.n))) for b in cfg.budgets
+    ]
+    shape = tuple(len(o) for o in options)
+    table = payoff_table(cfg, regime)
+    payoffs = np.empty(shape + (cfg.m,))
+    for idx in itertools.product(*(range(k) for k in shape)):
+        sets = tuple(frozenset(options[j][idx[j]]) for j in range(cfg.m))
+        payoffs[idx] = table_payoffs(table, sets, cfg.epsilon)
+
+    stable = np.ones(shape, dtype=bool)
+    for j in range(cfg.m):
+        per_player = payoffs[..., j]
+        stable &= per_player >= per_player.max(axis=j, keepdims=True) - IMPROVEMENT_TOL
+    return [tuple(options[j][int(idx[j])] for j in range(cfg.m)) for idx in np.argwhere(stable)]

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netinfluence import cli, dynamics, game
 from netinfluence import (
     GameConfig,
     build_counterexample,
@@ -17,6 +23,8 @@ from netinfluence import (
 from netinfluence.cli import main
 
 TWO_CYCLE_TEXT = "nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"
+ROOT = Path(__file__).resolve().parent.parent
+MEMORY_CAP = 512 * 2**20  # address-space limit of the capped CLI subprocess, in bytes
 
 
 @pytest.fixture
@@ -157,6 +165,32 @@ def test_simulate_state_and_consensus_flag(capsys, two_cycle_file, two_cycle_see
     states = field(out, "state")
     assert len(states) == 2
     assert field(out, "consensus") == ["true"]
+
+
+def test_simulate_state_builds_the_operator_once(
+    capsys, monkeypatch, two_cycle_file, two_cycle_seeds
+):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "validate", counted("validate", dynamics.validate))
+    for module in (game, cli):
+        monkeypatch.setattr(
+            module, "influence_matrix", counted("influence_matrix", dynamics.influence_matrix)
+        )
+    game._mixing_matrix.cache_clear()
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate", "--graph", two_cycle_file, "--strategies", two_cycle_seeds,
+         "--horizon", "3", "--state", "--trace", "--structured"],
+    )
+    assert code == 0 and len(field(out, "trace")) == 4
+    assert calls == {"validate": 1, "influence_matrix": 1}
 
 
 def test_simulate_human_layout(capsys, two_cycle_file, two_cycle_seeds):
@@ -418,6 +452,52 @@ def test_normalize_overflowing_weight_sum_is_a_one_line_error(capsys, tmp_path):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and "line 3" in lines[0] and "node 1" in lines[0]
+
+
+def run_capped_cli(argv):
+    """Run the CLI in a fresh interpreter whose address space is capped at ``MEMORY_CAP``."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP}))\n"
+        "from netinfluence.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    # One BLAS thread: per-thread buffers on a many-core host could fill the cap at import.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+HUGE_HEADER = "nodes 10000000000\nedge 0 1 1\n"
+# A valid ring whose dense horizon table alone exceeds the cap.
+BIG_RING = "nodes 9000\n" + "".join(f"edge {v} {(v + 1) % 9000} 1\n" for v in range(9000))
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (HUGE_HEADER, ["centrality", "--eigen"], "need at least 10000000000 edges"),
+        (HUGE_HEADER, ["centrality", "--eigen", "--normalize"], "need at least 10000000000 edges"),
+        (HUGE_HEADER, ["simulate", "--horizon", "1"], "need at least 10000000000 edges"),
+        (HUGE_HEADER, ["nash", "--exhaustive", "--budgets", "1,1", "--horizon", "1"], "exceed the cap"),
+        (BIG_RING, ["centrality", "--horizon", "1"], "out of memory"),
+    ],
+    ids=["eigen", "normalize", "simulate", "exhaustive", "dense-table"],
+)
+def test_huge_inputs_are_one_line_errors_under_a_memory_cap(tmp_path, text, argv, message):
+    graph = tmp_path / "g.graph"
+    graph.write_text(text)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("player 0 seeds 0\nplayer 1 seeds 1\n")
+    if argv[0] == "simulate":
+        argv = argv + ["--strategies", str(seeds)]
+    done = run_capped_cli(argv + ["--graph", str(graph)])
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error:") and message in lines[0]
 
 
 def test_malformed_strategy_reports_line_number(capsys, two_cycle_file, tmp_path):

@@ -1,0 +1,118 @@
+"""The batched candidate-scoring kernel against the per-candidate loops it replaced.
+
+Random small games: random strongly connected graphs, and directed rings whose
+opponents seed every ``d``-th node, so that rotating a candidate by ``d``
+gives an exactly tied payoff.  Opponents may share seeds.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from unittest import mock
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from netinfluence import (
+    GameConfig,
+    Graph,
+    consensus_equilibrium,
+    exact_best_response,
+    exhaustive_nash_check,
+    greedy_best_response,
+    payoff_table,
+    random_graph,
+    table_payoffs,
+)
+from netinfluence import solver
+from netinfluence.game import _candidate_payoffs, assemble_profile
+from oracles import exhaustive_nash_oracle, scan_best_oracle
+
+REGIMES = ("horizon", "consensus")
+
+
+@st.composite
+def games(draw, max_nodes=9, max_players=3, max_budget=3):
+    """A game config, a responding player and their opponents' seed sets."""
+    m = draw(st.integers(2, max_players))
+    if draw(st.booleans()):
+        period = draw(st.integers(2, 3))
+        n = period * draw(st.integers(2, max(2, max_nodes // period)))
+        graph = Graph(n, tuple((v, (v + 1) % n, 1.0) for v in range(n)))
+        others = [
+            frozenset(range(draw(st.integers(0, period - 1)), n, period)) for _ in range(m - 1)
+        ]
+    else:
+        n = draw(st.integers(3, max_nodes))
+        graph = random_graph(n, draw(st.integers(1, min(3, n - 1))), draw(st.integers(0, 10**6)))
+        nodes = st.integers(0, n - 1)
+        others = [
+            frozenset(draw(st.lists(nodes, min_size=1, max_size=max_budget, unique=True)))
+            for _ in range(m - 1)
+        ]
+    i = draw(st.integers(0, m - 1))
+    budgets = [len(s) for s in others]
+    budgets.insert(i, draw(st.integers(1, max_budget)))
+    cfg = GameConfig(
+        graph,
+        tuple(budgets),
+        horizon=draw(st.integers(1, 4)),
+        alpha=draw(st.sampled_from([0.1, 0.5, 0.9])),
+        epsilon=draw(st.sampled_from([1e-6, 1e-3, 0.4 / m])),
+    )
+    return cfg, i, others
+
+
+@given(games())
+def test_kernel_matches_table_payoffs(game):
+    cfg, i, others = game
+    for regime in REGIMES:
+        table = payoff_table(cfg, regime)
+        for size in range(1, min(cfg.budgets[i], cfg.n) + 1):
+            candidates = list(itertools.combinations(range(cfg.n), size))
+            scored = [
+                (tuple(row), pay)
+                for nodes, pays in _candidate_payoffs(table, others, cfg.epsilon, candidates)
+                for row, pay in zip(nodes.tolist(), pays)
+            ]
+            assert [c for c, _ in scored] == candidates
+            for cand, pay in scored:
+                ref = table_payoffs(table, assemble_profile(i, cand, others), cfg.epsilon)[i]
+                assert abs(pay - ref) <= 1e-12, (regime, cand)
+
+
+@given(games())
+def test_best_responses_match_per_candidate_scan(game):
+    cfg, i, others = game
+    for regime in REGIMES:
+        fast = [
+            exact_best_response(cfg, i, others, regime=regime),
+            greedy_best_response(cfg, i, others, regime=regime),
+        ]
+        with mock.patch.object(solver, "_scan_best", scan_best_oracle):
+            slow = [
+                exact_best_response(cfg, i, others, regime=regime),
+                greedy_best_response(cfg, i, others, regime=regime),
+            ]
+        assert fast == slow, regime
+
+
+@given(games())
+def test_consensus_construction_matches_per_candidate_scan(game):
+    cfg, _, _ = game
+    fast = consensus_equilibrium(cfg, verify_cap=0)
+    with mock.patch.object(solver, "_scan_best", scan_best_oracle):
+        slow = consensus_equilibrium(cfg, verify_cap=0)
+    assert fast.profile == slow.profile
+    assert list(fast.payoffs) == list(slow.payoffs)
+
+
+@given(games(max_nodes=6, max_budget=2))
+def test_exhaustive_matches_per_profile_check(game):
+    cfg, _, _ = game
+    if math.prod(math.comb(cfg.n, min(b, cfg.n)) for b in cfg.budgets) > 3000:
+        cfg = GameConfig(cfg.graph, (1,) * cfg.m, cfg.horizon, cfg.alpha, cfg.epsilon)
+    for regime in REGIMES:
+        found = [p.canonical() for p in exhaustive_nash_check(cfg, regime=regime)]
+        assert found == exhaustive_nash_oracle(cfg, regime), regime
