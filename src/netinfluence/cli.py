@@ -24,7 +24,7 @@ from .dynamics import (
     influence_matrix,
     initialize,
 )
-from .game import GameConfig, StrategyProfile, _mixing_matrix, utility
+from .game import GameConfig, StrategyProfile, _mixing_matrix, _shares, check_profile
 from .graph import Graph, GraphFormatError, build_counterexample, dump_graph, load_graph, random_graph
 from .solver import (
     best_response_dynamics,
@@ -88,6 +88,8 @@ def _read_graph(path: str, normalize: bool) -> Graph:
             return load_graph(handle, normalize=normalize)
     except OSError as exc:
         raise GraphFormatError(f"cannot read graph file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"cannot read graph file {path}: {exc}") from None
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 
@@ -136,6 +138,8 @@ def _read_seed_file(path: str) -> dict[int, list[int]]:
             text = handle.read()
     except OSError as exc:
         raise ProfileFormatError(f"cannot read strategy file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ProfileFormatError(f"cannot read strategy file {path}: {exc}") from None
     try:
         return _parse_seed_lines(text)
     except ProfileFormatError as exc:
@@ -188,22 +192,22 @@ def cmd_simulate(args) -> int:
     report.param("normalize", str(args.normalize).lower())
     report.param("consensus_tol", fmt(args.consensus_tol))
 
-    payoffs = utility(cfg, profile)
+    # The same products as ``utility``, stepped one at a time so the trace can print.
+    check_profile(cfg, profile)
+    gamma = _mixing_matrix(cfg.graph, cfg.alpha)
+    final = initialize(cfg.graph, profile, cfg.epsilon)
+    for t in range(cfg.horizon + 1):
+        if t:
+            final = evolve(final, gamma, 1)
+        if args.trace:
+            report.line(f"trace {t} " + " ".join(fmt(x) for x in final.opinions.ravel()))
+    if args.state:
+        for v in range(g.node_count):
+            report.line(f"state {v} " + " ".join(fmt(x) for x in final.opinions[v]))
+        verdict = consensus_reached(final, args.consensus_tol)
+        report.line(f"consensus {str(verdict).lower()}")
 
-    if args.trace or args.state:
-        gamma = _mixing_matrix(cfg.graph, cfg.alpha)
-        final = initialize(cfg.graph, profile, cfg.epsilon)
-        for t in range(cfg.horizon + 1):
-            if t:
-                final = evolve(final, gamma, 1)
-            if args.trace:
-                report.line(f"trace {t} " + " ".join(fmt(x) for x in final.opinions.ravel()))
-        if args.state:
-            for v in range(g.node_count):
-                report.line(f"state {v} " + " ".join(fmt(x) for x in final.opinions[v]))
-            verdict = consensus_reached(final, args.consensus_tol)
-            report.line(f"consensus {str(verdict).lower()}")
-
+    payoffs = _shares(final.opinions)
     for i, p in enumerate(payoffs):
         report.line(f"payoff {i} {fmt(p)}")
     report.line(f"payoff_sum {fmt(payoffs.sum())}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as _sparse
 
-from .graph import Graph, validate
+from .graph import Graph, _edge_arrays, validate
 
 SPARSE_NODE_THRESHOLD = 2000
 DEFAULT_EIGEN_TOL = 1e-12
@@ -76,15 +76,12 @@ def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
             f"(stochastic={report.stochastic}, strongly_connected={report.strongly_connected}, "
             f"offending_nodes={report.offending_nodes[:5]})"
         )
-    if n > SPARSE_NODE_THRESHOLD:
-        rows = [v for _, v, _ in g.edges] + list(range(n))
-        cols = [u for u, _, _ in g.edges] + list(range(n))
-        data = [alpha * w for _, _, w in g.edges] + [1.0 - alpha] * n
-        entries = _sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        entries = np.eye(n) * (1.0 - alpha)
-        for u, v, w in g.edges:
-            entries[v, u] = alpha * w
+    src, dst, weight = _edge_arrays(g)
+    diagonal = np.arange(n)
+    data = np.concatenate((alpha * weight, np.full(n, 1.0 - alpha)))
+    coords = (np.concatenate((dst, diagonal)), np.concatenate((src, diagonal)))
+    entries = _sparse.coo_matrix((data, coords), shape=(n, n))
+    entries = entries.tocsr() if n > SPARSE_NODE_THRESHOLD else entries.toarray()
     return InfluenceMatrix(n, alpha, entries)
 
 

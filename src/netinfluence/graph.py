@@ -66,12 +66,12 @@ class Graph:
                 raise _EdgeError(f"duplicate edge ({u}, {v})", k)
             seen.add((u, v))
 
-    def in_weight_sums(self) -> np.ndarray:
-        """Total incoming weight per node."""
-        sums = np.zeros(self.node_count)
-        for _, v, w in self.edges:
-            sums[v] += w
-        return sums
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``g.edges`` as integer source and target arrays and a weight array, in edge order."""
+    fields = [("src", np.intp), ("dst", np.intp), ("weight", float)]
+    edges = np.fromiter(g.edges, dtype=fields, count=len(g.edges))
+    return edges["src"], edges["dst"], edges["weight"]
 
 
 @dataclass(frozen=True)
@@ -92,49 +92,40 @@ class ValidationReport:
         return self.stochastic and self.strongly_connected
 
 
-def _reachable(adjacency: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _reached_from_zero(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Mask of the nodes reachable from node 0 along the edges ``heads[k] -> tails[k]``."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    indptr, targets = indptr.tolist(), memoryview(tails[np.argsort(heads)])
+    reached = bytearray(n)
+    reached[0] = 1
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nxt in targets[indptr[node] : indptr[node + 1]]:
+            if not reached[nxt]:
+                reached[nxt] = 1
+                stack.append(nxt)
+    return np.frombuffer(reached, dtype=bool)
 
 
 def validate(g: Graph, tol: float = STOCHASTIC_TOL) -> ValidationReport:
     """Check unit incoming weight per node and strong connectivity.
+
+    Incoming weights are summed per node in edge order.  A node breaks strong
+    connectivity when it is unreachable from node 0 or cannot reach it.
 
     Args:
         g: the graph under test.
         tol: allowed absolute deviation of each incoming weight sum from one.
     """
     n = g.node_count
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in g.edges:
-        out_adj[u].append(v)
-        in_adj[v].append(u)
-
-    defects: dict[int, float] = {}
-    sums = g.in_weight_sums()
-    for v in range(n):
-        gap = abs(sums[v] - 1.0)
-        if gap > tol:
-            defects[v] = gap
-    stochastic = not defects
-
-    forward = _reachable(out_adj, 0)
-    backward = _reachable(in_adj, 0)
-    cut_off = (set(range(n)) - forward) | (set(range(n)) - backward)
-    strongly_connected = not cut_off
-    for v in cut_off:
-        defects[v] = math.inf
-
-    offending = tuple(sorted(defects.items()))
-    return ValidationReport(stochastic, strongly_connected, offending)
+    src, dst, weight = _edge_arrays(g)
+    gaps = np.abs(np.bincount(dst, weights=weight, minlength=n) - 1.0)
+    bad = np.flatnonzero(gaps > tol)
+    cut_off = np.flatnonzero(~(_reached_from_zero(n, src, dst) & _reached_from_zero(n, dst, src)))
+    defects = dict(zip(bad.tolist(), gaps[bad])) | dict.fromkeys(cut_off.tolist(), math.inf)
+    return ValidationReport(not len(bad), not len(cut_off), tuple(sorted(defects.items())))
 
 
 def load_graph(source, normalize: bool = False) -> Graph:

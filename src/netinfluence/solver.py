@@ -44,7 +44,7 @@ class EnumerationCapError(RuntimeError):
 
 
 class EquilibriumVerificationError(RuntimeError):
-    """A profile expected to be an equilibrium failed the deviation check."""
+    """Best-response play from a constructed profile ended without an equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -160,15 +160,13 @@ def greedy_best_response(
     others = check_opponents(cfg, i, s_minus_i)
     table = payoff_table(cfg, regime)
     b = min(cfg.budgets[i], cfg.n)
-    chosen: set[int] = set()
-    payoff = -math.inf
+    chosen: tuple[int, ...] = ()
     evaluations = 0
     for _ in range(b):
-        candidates = (tuple(sorted(chosen | {v})) for v in range(cfg.n) if v not in chosen)
-        pay, best, count = _scan_best(table, i, others, cfg.epsilon, candidates)
+        # Candidates extend the chosen nodes in pick order: payoffs ignore node order.
+        candidates = (chosen + (v,) for v in range(cfg.n) if v not in chosen)
+        payoff, chosen, count = _scan_best(table, i, others, cfg.epsilon, candidates)
         evaluations += count
-        chosen = set(best)
-        payoff = pay
     return BestResponse(frozenset(chosen), payoff, evaluations)
 
 
@@ -277,10 +275,11 @@ def exhaustive_nash_check(
 
 @dataclass(frozen=True, eq=False)
 class ConsensusEquilibrium:
-    """A constructed stationary-regime equilibrium with its payoffs.
+    """A stationary-regime equilibrium with its payoffs.
 
-    ``verified`` is True when the full deviation check ran and passed; on
-    instances too large to check, the profile is returned unverified.
+    ``verified`` is True when best-response play ran from the constructed
+    profile and ended in an equilibrium; on instances too large to check, the
+    constructed profile is returned unverified.
     """
 
     profile: StrategyProfile
@@ -293,25 +292,25 @@ def consensus_equilibrium(
     cap: int = EXACT_ENUMERATION_CAP,
     verify_cap: int = 250_000,
 ) -> ConsensusEquilibrium:
-    """Construct a pure equilibrium of the stationary-regime game.
+    """Find a pure equilibrium of the stationary-regime game.
 
-    Players are processed in descending budget order: the first claims the
-    highest-weight nodes outright (stationary weight ties break toward lower
-    node ids), and each later player plays an exact best response to the
-    profile built so far under stationary payoffs.  When the total deviation
-    count fits under ``verify_cap``, the result is deviation-checked before
-    being returned.
+    A starting profile is constructed in descending budget order: the first
+    player claims the highest-weight nodes outright (stationary weight ties
+    break toward lower node ids), and each later player plays an exact best
+    response to the profile built so far under stationary payoffs.  When the
+    total deviation count fits under ``verify_cap``, exact best-response play
+    (``best_response_dynamics``) runs from that profile, and the equilibrium
+    it reaches is returned verified.  With unequal budgets the game may have
+    no pure equilibrium at all.
 
     Raises:
-        EquilibriumVerificationError: if verification runs and finds a
-            profitable deviation — that indicates a bug, not a property of
-            the instance.
+        EquilibriumVerificationError: if best-response play ends without an
+            equilibrium.
         EnumerationCapError: when a best-response enumeration exceeds ``cap``.
     """
-    weights = payoff_table(cfg, "consensus")[0]
-    player_order = sorted(range(cfg.m), key=lambda j: (-cfg.budgets[j], j))
-    node_order = sorted(range(cfg.n), key=lambda v: (-weights[v], v))
     table = payoff_table(cfg, "consensus")
+    player_order = sorted(range(cfg.m), key=lambda j: (-cfg.budgets[j], j))
+    node_order = sorted(range(cfg.n), key=lambda v: (-table[0][v], v))
 
     built: list[frozenset[int]] = []
     for rank, p in enumerate(player_order):
@@ -326,18 +325,18 @@ def consensus_equilibrium(
     for rank, p in enumerate(player_order):
         sets[p] = built[rank]
     profile = StrategyProfile(sets)
-    payoffs = table_payoffs(table, profile.strategies, cfg.epsilon)
 
     verified = False
     deviation_count = sum(math.comb(cfg.n, min(b, cfg.n)) for b in cfg.budgets)
     if deviation_count <= verify_cap:
-        for j in range(cfg.m):
-            others = [s for k, s in enumerate(profile.strategies) if k != j]
-            br = exact_best_response(cfg, j, others, regime="consensus", cap=cap)
-            if br.payoff > payoffs[j] + IMPROVEMENT_TOL:
-                raise EquilibriumVerificationError(
-                    f"player {j} improves from {payoffs[j]:.12g} to {br.payoff:.12g} "
-                    f"by deviating to {sorted(br.strategy)}"
-                )
+        outcome = best_response_dynamics(cfg, profile, regime="consensus", cap=cap)
+        if outcome.kind != "equilibrium":
+            raise EquilibriumVerificationError(
+                f"no pure equilibrium reached: best-response play from the constructed "
+                f"profile ended in {outcome.kind} after {len(outcome.trace)} moves, "
+                "with players still deviating"
+            )
+        profile = outcome.profile
         verified = True
+    payoffs = table_payoffs(table, profile.strategies, cfg.epsilon)
     return ConsensusEquilibrium(profile, payoffs, verified)

@@ -6,6 +6,7 @@ entry by entry, the stationary weights come from a dense least-squares solve
 instead of power iteration, and payoffs come from an explicit simulation of
 the averaging recurrence.  ``random_graph_edges_oracle`` is the random
 generator written the plain quadratic way, to pin the package's faster one.
+``validate_oracle`` checks a graph with adjacency lists and two graph searches.
 ``scan_best_oracle`` and ``exhaustive_nash_oracle`` are the exceptions: they
 are the solver loops that score one candidate or one profile per
 ``table_payoffs`` call, kept to pin the batched scoring kernel to them.
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 from netinfluence.game import assemble_profile, payoff_table, table_payoffs
+from netinfluence.graph import STOCHASTIC_TOL, ValidationReport
 from netinfluence.solver import IMPROVEMENT_TOL
 
 
@@ -29,6 +31,43 @@ def build_mixing(g, alpha: float) -> np.ndarray:
     for u, v, w in g.edges:
         gamma[v, u] += alpha * w
     return gamma
+
+
+def _reachable(adjacency, start):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for nxt in adjacency[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def validate_oracle(g, tol: float = STOCHASTIC_TOL) -> ValidationReport:
+    """``validate`` by per-node weight sums in edge order and searches from node 0 both ways."""
+    n = g.node_count
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    sums = np.zeros(n)
+    for u, v, w in g.edges:
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+        sums[v] += w
+
+    defects = {}
+    for v in range(n):
+        gap = abs(sums[v] - 1.0)
+        if gap > tol:
+            defects[v] = gap
+    stochastic = not defects
+
+    everyone = set(range(n))
+    cut_off = (everyone - _reachable(out_adj, 0)) | (everyone - _reachable(in_adj, 0))
+    for v in cut_off:
+        defects[v] = math.inf
+    return ValidationReport(stochastic, not cut_off, tuple(sorted(defects.items())))
 
 
 def stationary_oracle(g, alpha: float) -> np.ndarray:

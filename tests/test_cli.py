@@ -193,6 +193,26 @@ def test_simulate_state_builds_the_operator_once(
     assert calls == {"validate": 1, "influence_matrix": 1}
 
 
+def test_simulate_trace_steps_the_horizon_once(
+    capsys, monkeypatch, two_cycle_file, two_cycle_seeds
+):
+    steps = Counter()
+
+    def counted(state, gamma, t_steps):
+        steps["evolve"] += t_steps
+        return dynamics.evolve(state, gamma, t_steps)
+
+    for module in (game, cli):
+        monkeypatch.setattr(module, "evolve", counted)
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate", "--graph", two_cycle_file, "--strategies", two_cycle_seeds,
+         "--horizon", "3", "--state", "--trace", "--structured"],
+    )
+    assert code == 0 and len(field(out, "trace")) == 4
+    assert steps == {"evolve": 3}
+
+
 def test_simulate_human_layout(capsys, two_cycle_file, two_cycle_seeds):
     code, out, _ = run_cli(
         capsys,
@@ -419,6 +439,26 @@ def test_missing_graph_file_is_an_error(capsys):
     assert code == 1
     assert err.startswith("error:") and "/nonexistent/g.graph" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("reader", ["graph", "strategies"])
+def test_non_utf8_file_is_a_one_line_error_naming_it(
+    capsys, tmp_path, two_cycle_file, two_cycle_seeds, reader
+):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"nodes 2\n\x89PNG\xff\xfe\n")
+    files = {"graph": two_cycle_file, "strategies": two_cycle_seeds, reader: str(binary)}
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--graph", files["graph"], "--strategies", files["strategies"],
+         "--horizon", "1"],
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    kind = "graph" if reader == "graph" else "strategy"
+    assert lines[0].startswith(f"error: cannot read {kind} file {binary}: ")
+    assert "can't decode byte 0x89" in lines[0]
 
 
 def test_malformed_graph_reports_line_number(capsys, tmp_path):

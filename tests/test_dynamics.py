@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from netinfluence import (
@@ -70,6 +74,25 @@ def test_sparse_and_dense_agree(monkeypatch):
     out_dense = evolve(state, dense, 7).opinions
     out_sparse = evolve(state, sparse, 7).opinions
     assert np.max(np.abs(out_dense - out_sparse)) < 1e-13
+
+
+@given(
+    st.integers(2, 30),
+    st.integers(1, 4),
+    st.integers(0, 10**6),
+    st.sampled_from([0.001, 0.3, 0.5, 0.999]),
+)
+def test_operator_entries_are_bit_identical_to_assembly(n, degree, seed, alpha):
+    g = random_graph(n, min(degree, n - 1), seed=seed)
+    expected = build_mixing(g, alpha)
+    dense = influence_matrix(g, alpha).entries
+    assert not sp.issparse(dense)
+    assert dense.tobytes() == expected.tobytes()
+    with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", 1):
+        sparse = influence_matrix(g, alpha).entries
+    assert sp.issparse(sparse) and sparse.format == "csr"
+    assert sparse.nnz == len(g.edges) + n
+    assert sparse.toarray().tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from netinfluence import (
     Graph,
@@ -17,7 +19,7 @@ from netinfluence import (
     validate,
 )
 
-from oracles import random_graph_edges_oracle
+from oracles import random_graph_edges_oracle, validate_oracle
 
 TWO_CYCLE = "nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"
 
@@ -115,6 +117,37 @@ def test_validate_single_node_graph():
     report = validate(Graph(1, ()))
     assert report.strongly_connected
     assert not report.stochastic  # no incoming weight at the only node
+
+
+@st.composite
+def edge_lists(draw, max_nodes=10):
+    """Graphs with any weights and any number of strong components, some with isolated nodes.
+
+    A random ring through every node makes some of them strongly connected, and
+    rescaling each node's incoming weights makes some of them stochastic.
+    """
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    if n > 1 and draw(st.booleans()):
+        ring = draw(st.permutations(range(n)))
+        chosen += [(u, v) for u, v in zip(ring, ring[1:] + ring[:1]) if (u, v) not in chosen]
+    weight = st.one_of(st.sampled_from([1.0, 0.5, 1.0 / 3.0]), st.floats(1e-3, 2.0))
+    edges = [(u, v, draw(weight)) for u, v in chosen]
+    if draw(st.booleans()):
+        sums = {}
+        for _, v, w in edges:
+            sums[v] = sums.get(v, 0.0) + w
+        edges = [(u, v, w / sums[v]) for u, v, w in edges]
+    return Graph(n, tuple(edges))
+
+
+@given(edge_lists())
+@example(Graph(1, ()))
+@example(Graph(4, ((0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0))))
+def test_validate_matches_adjacency_list_oracle(g):
+    assert validate(g) == validate_oracle(g)
+    assert validate(g, tol=0.1) == validate_oracle(g, tol=0.1)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netinfluence import (
     EnumerationCapError,
@@ -304,6 +306,26 @@ def test_consensus_construction_failure_is_diagnosed():
     assert exhaustive_nash_check(cfg, regime="consensus") == []
     with pytest.raises(EquilibriumVerificationError, match="deviating"):
         consensus_equilibrium(cfg)
+
+
+@given(
+    st.integers(4, 8),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(1, 2),
+    st.sampled_from([0.1, 0.5, 0.9]),
+)
+def test_three_player_consensus_equilibrium_is_among_exhaustive_results(
+    n, degree, seed, budget, alpha
+):
+    # Equal budgets: the heaviest-first construction alone is often no
+    # equilibrium here, so best-response play has to finish the job.
+    g = random_graph(n, degree, seed=seed)
+    cfg = GameConfig(graph=g, budgets=(budget,) * 3, horizon=1, alpha=alpha)
+    eq = consensus_equilibrium(cfg)
+    assert eq.verified
+    assert eq.profile in exhaustive_nash_check(cfg, regime="consensus")
+    assert list(eq.payoffs) == list(consensus_utility(cfg, eq.profile))
 
 
 def test_consensus_equilibrium_is_deterministic():
