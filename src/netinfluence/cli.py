@@ -15,6 +15,8 @@ import argparse
 import sys
 import time
 
+from scipy import sparse
+
 from . import __version__
 from .dynamics import (
     consensus_reached,
@@ -236,7 +238,8 @@ def cmd_centrality(args) -> int:
     else:
         table = diffusion_centrality_matrix(gamma, args.horizon)
         for v in range(g.node_count):
-            report.line(f"influence {v} " + " ".join(fmt(x) for x in table[:, v]))
+            column = table[:, [v]].toarray().ravel() if sparse.issparse(table) else table[:, v]
+            report.line(f"influence {v} " + " ".join(fmt(x) for x in column))
     return _emit(report, args, started)
 
 

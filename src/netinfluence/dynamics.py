@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as _sparse
 
-from .graph import Graph, _edge_arrays, validate
+from .graph import Graph, _edge_arrays, _validate_edges
 
 SPARSE_NODE_THRESHOLD = 2000
 DEFAULT_EIGEN_TOL = 1e-12
@@ -69,14 +69,14 @@ def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
             f"graph fails validation ({n} nodes need at least {n} edges to be "
             f"strongly connected, got {len(g.edges)})"
         )
-    report = validate(g)
+    src, dst, weight = _edge_arrays(g)
+    report = _validate_edges(n, src, dst, weight)
     if not report.ok:
         raise ValueError(
             "graph fails validation "
             f"(stochastic={report.stochastic}, strongly_connected={report.strongly_connected}, "
             f"offending_nodes={report.offending_nodes[:5]})"
         )
-    src, dst, weight = _edge_arrays(g)
     diagonal = np.arange(n)
     data = np.concatenate((alpha * weight, np.full(n, 1.0 - alpha)))
     coords = (np.concatenate((dst, diagonal)), np.concatenate((src, diagonal)))
@@ -154,20 +154,37 @@ def evolve(state: OpinionState, gamma: InfluenceMatrix, t_steps: int) -> Opinion
     return OpinionState(state.t + t_steps, x)
 
 
-def diffusion_centrality_matrix(gamma: InfluenceMatrix, t_steps: int) -> np.ndarray:
-    """Influence table after ``t_steps`` steps: the dense ``t``-th operator power.
+def _identity(gamma: InfluenceMatrix) -> np.ndarray | _sparse.csr_matrix:
+    """The identity in the operator's format."""
+    if _sparse.issparse(gamma.entries):
+        return _sparse.identity(gamma.n, format="csr")
+    return np.eye(gamma.n)
+
+
+def diffusion_centrality_matrix(
+    gamma: InfluenceMatrix, t_steps: int
+) -> np.ndarray | _sparse.csc_matrix:
+    """Influence table after ``t_steps`` steps: the ``t``-th operator power.
 
     Column ``u`` is how much source ``u``'s initial opinion shapes every node;
     each row sums to one.  ``table @ x`` equals ``evolve`` of the opinion
     matrix ``x`` for ``t_steps``.  Built by ``t_steps`` successive products
-    with the operator.
+    with the operator, starting from the identity.  A dense operator gives a
+    dense table.  A sparse operator starts from the sparse identity and
+    returns a compressed sparse column matrix, unless the power fills in: once
+    more than a quarter of its entries are nonzero it turns dense and the
+    remaining products are dense.  Either way the entries equal those of the
+    dense products.
     """
     if t_steps < 0:
         raise ValueError("t_steps must be non-negative")
-    table = np.eye(gamma.n)
+    n = gamma.n
+    table = _identity(gamma)
     for _ in range(t_steps):
         table = gamma.entries @ table
-    return table
+        if _sparse.issparse(table) and 4 * table.nnz > n * n:
+            table = table.toarray()
+    return table.tocsc() if _sparse.issparse(table) else table
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,15 +205,22 @@ def eigenvector_weights(
 ) -> ConsensusWeights:
     """Power iteration for the stationary weights ``c`` with ``c = c @ entries``.
 
-    Starts from the uniform vector, renormalizes to unit sum each round, and
-    stops when two successive iterates agree within ``tol`` in max-norm.  The
-    result is checked to satisfy the fixed-point equation within ``10 * tol``.
+    The operator ``(1 - alpha) I + alpha W`` shares its left fixed point with
+    the lazy walk ``(I + W) / 2``, which converges at a rate independent of
+    ``alpha``; the iteration runs on the lazy walk, with ``W`` recovered from
+    ``entries``.  It starts from the uniform vector, renormalizes to unit sum
+    each round, and stops when two successive iterates agree within ``tol`` in
+    max-norm.  The result is checked to satisfy the fixed-point equation of
+    ``entries`` within ``10 * tol``.
 
     Raises:
         PowerIterationError: when the iteration budget runs out or the
             residual check fails; never silently returns a bad vector.
     """
-    transposed = gamma.entries.T
+    entries = gamma.entries
+    identity = _identity(gamma)
+    walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
+    transposed = ((identity + walk) / 2).T
     c = np.full(gamma.n, 1.0 / gamma.n)
     delta = np.inf
     for _ in range(max_iter):
@@ -210,7 +234,7 @@ def eigenvector_weights(
         raise PowerIterationError(
             f"no convergence after {max_iter} iterations (last delta {delta:.3e})"
         )
-    residual = np.max(np.abs(transposed @ c - c))
+    residual = np.max(np.abs(entries.T @ c - c))
     if not residual < 10 * tol:
         raise PowerIterationError(
             f"converged iterate fails the fixed-point check (residual {residual:.3e})"

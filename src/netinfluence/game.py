@@ -13,11 +13,13 @@ constant-sum: payoffs always total one.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse as _sparse
 
 from .dynamics import (
     OpinionState,
@@ -167,8 +169,44 @@ def _mixing_matrix(graph: Graph, alpha: float):
     return influence_matrix(graph, alpha)
 
 
-@lru_cache(maxsize=64)
-def _horizon_table(graph: Graph, alpha: float, horizon: int) -> np.ndarray:
+def _table_bytes(table) -> int:
+    """Memory held by a dense table or by a compressed sparse table's three arrays."""
+    if _sparse.issparse(table):
+        return table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
+    return table.nbytes
+
+
+def _cache_by_bytes(max_bytes: int):
+    """Memoize a table builder by its arguments, bounded by the tables' bytes.
+
+    Once the tables held pass ``max_bytes``, the least recently used ones are
+    evicted first; the newest table is always kept, however large.  Like
+    ``lru_cache``, the wrapper has a ``cache_clear`` method.
+    """
+
+    def decorate(build):
+        tables: OrderedDict = OrderedDict()
+
+        @wraps(build)
+        def cached(*key):
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = build(*key)
+                while len(tables) > 1 and sum(map(_table_bytes, tables.values())) > max_bytes:
+                    tables.popitem(last=False)
+            else:
+                tables.move_to_end(key)
+            return table
+
+        cached.cache_clear = tables.clear
+        return cached
+
+    return decorate
+
+
+# Holds three dense tables at 3000 nodes, eight at the sparse-operator threshold.
+@_cache_by_bytes(1 << 28)
+def _horizon_table(graph: Graph, alpha: float, horizon: int) -> np.ndarray | _sparse.csc_matrix:
     return diffusion_centrality_matrix(_mixing_matrix(graph, alpha), horizon)
 
 
@@ -177,12 +215,17 @@ def _consensus_table(graph: Graph, alpha: float) -> np.ndarray:
     return eigenvector_weights(_mixing_matrix(graph, alpha)).weights[None, :]
 
 
-def payoff_table(cfg: GameConfig, regime: str = "horizon") -> np.ndarray:
+def payoff_table(cfg: GameConfig, regime: str = "horizon") -> np.ndarray | _sparse.csc_matrix:
     """Influence table driving closed-form payoffs, cached per configuration.
 
     Rows are evaluation targets and columns are source nodes: ``"horizon"``
     yields the full finite-horizon table (one row per node), ``"consensus"``
-    the single row of stationary weights.  Treat the result as read-only.
+    the single row of stationary weights.  The horizon table is a dense array,
+    or a compressed sparse column matrix while it stays sparse on graphs above
+    ``dynamics.SPARSE_NODE_THRESHOLD`` (see ``diffusion_centrality_matrix``);
+    the consensus row is always dense.  Horizon tables are cached within a
+    byte budget, least recently used evicted first.  Treat the result as
+    read-only.
     """
     if regime == "horizon":
         return _horizon_table(cfg.graph, cfg.alpha, cfg.horizon)
@@ -217,6 +260,8 @@ _CHUNK_BYTES = 1 << 17
 def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
     """Closed-form payoffs of many candidate seed sets for one player, chunk by chunk.
 
+    ``table`` is dense or compressed sparse column; each chunk's candidate
+    columns are gathered into a dense ``k x b x rows`` block either way.
     ``others`` are the opponents' seed sets; ``candidates`` is an iterable of
     equal-size node tuples.  Yields ``(nodes, payoffs)``: a ``k x b`` array of
     the next candidates and each one's ``table_payoffs`` entry for the
@@ -241,13 +286,17 @@ def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
         return
     size = len(first)
     rows = max(1, _CHUNK_BYTES // (8 * size * table.shape[0]))
+    columns = table.T
     candidates = itertools.chain([first], candidates)
     while True:
         chunk = itertools.chain.from_iterable(itertools.islice(candidates, rows))
         nodes = np.fromiter(chunk, dtype=np.intp).reshape(-1, size)
         if not len(nodes):
             return
-        block = table.T[nodes]
+        if _sparse.issparse(columns):
+            block = columns[nodes.ravel()].toarray().reshape(nodes.shape + (-1,))
+        else:
+            block = columns[nodes]
         own = own_base + np.einsum("kbr,kb->kr", block, own_gain[nodes])
         total = total_base + np.einsum("kbr,kb->kr", block, total_gain[nodes])
         yield nodes, (own / total).mean(axis=1)

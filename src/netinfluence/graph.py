@@ -119,12 +119,18 @@ def validate(g: Graph, tol: float = STOCHASTIC_TOL) -> ValidationReport:
         g: the graph under test.
         tol: allowed absolute deviation of each incoming weight sum from one.
     """
-    n = g.node_count
-    src, dst, weight = _edge_arrays(g)
+    return _validate_edges(g.node_count, *_edge_arrays(g), tol)
+
+
+def _validate_edges(
+    n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, tol: float = STOCHASTIC_TOL
+) -> ValidationReport:
+    """``validate`` on a graph already converted by ``_edge_arrays``."""
     gaps = np.abs(np.bincount(dst, weights=weight, minlength=n) - 1.0)
     bad = np.flatnonzero(gaps > tol)
     cut_off = np.flatnonzero(~(_reached_from_zero(n, src, dst) & _reached_from_zero(n, dst, src)))
-    defects = dict(zip(bad.tolist(), gaps[bad])) | dict.fromkeys(cut_off.tolist(), math.inf)
+    defects = dict(zip(bad.tolist(), gaps[bad].tolist()))
+    defects |= dict.fromkeys(cut_off.tolist(), math.inf)
     return ValidationReport(not len(bad), not len(cut_off), tuple(sorted(defects.items())))
 
 

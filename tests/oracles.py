@@ -2,8 +2,8 @@
 
 Everything here is built straight from a graph's edge list with plain numpy,
 on purpose sharing no code with the package: the mixing operator is assembled
-entry by entry, the stationary weights come from a dense least-squares solve
-instead of power iteration, and payoffs come from an explicit simulation of
+entry by entry, the stationary weights come from a dense least-squares or linear
+solve instead of power iteration, and payoffs come from an explicit simulation of
 the averaging recurrence.  ``random_graph_edges_oracle`` is the random
 generator written the plain quadratic way, to pin the package's faster one.
 ``validate_oracle`` checks a graph with adjacency lists and two graph searches.
@@ -83,6 +83,20 @@ def stationary_oracle(g, alpha: float) -> np.ndarray:
     rhs[-1] = 1.0
     c, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     return c
+
+
+def stationary_solve_oracle(g, alpha: float) -> np.ndarray:
+    """Stationary weights via ``np.linalg.solve``.
+
+    The fixed-point system ``(gamma^T - I) c = 0`` with its last equation
+    replaced by ``sum(c) = 1``; its error does not grow as ``alpha`` shrinks.
+    """
+    n = g.node_count
+    system = build_mixing(g, alpha).T - np.eye(n)
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
 
 
 def initial_opinions_oracle(g, seed_sets, epsilon: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netinfluence import cli, dynamics, game
+from netinfluence import cli, dynamics, game, graph
 from netinfluence import (
     GameConfig,
     build_counterexample,
@@ -178,7 +178,12 @@ def test_simulate_state_builds_the_operator_once(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dynamics, "validate", counted("validate", dynamics.validate))
+    monkeypatch.setattr(
+        dynamics, "_validate_edges", counted("validate", dynamics._validate_edges)
+    )
+    edge_arrays = counted("edge_arrays", graph._edge_arrays)
+    for module in (graph, dynamics):
+        monkeypatch.setattr(module, "_edge_arrays", edge_arrays)
     for module in (game, cli):
         monkeypatch.setattr(
             module, "influence_matrix", counted("influence_matrix", dynamics.influence_matrix)
@@ -190,7 +195,7 @@ def test_simulate_state_builds_the_operator_once(
          "--horizon", "3", "--state", "--trace", "--structured"],
     )
     assert code == 0 and len(field(out, "trace")) == 4
-    assert calls == {"validate": 1, "influence_matrix": 1}
+    assert calls == {"validate": 1, "edge_arrays": 1, "influence_matrix": 1}
 
 
 def test_simulate_trace_steps_the_horizon_once(
@@ -482,6 +487,17 @@ def test_non_finite_weight_is_a_one_line_error(capsys, tmp_path, weight, normali
     assert lines[0].startswith("error:") and "line 2" in lines[0] and "non-finite" in lines[0]
 
 
+def test_validation_error_prints_plain_floats(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("nodes 3\nedge 0 1 1.0\nedge 1 2 0.4\nedge 0 2 0.4\nedge 2 0 1.0\n")
+    code, out, err = run_cli(capsys, ["centrality", "--graph", str(bad), "--eigen"])
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "offending_nodes=((2, 0.19999999999999996),)" in lines[0]
+    assert "np.float64" not in lines[0]
+
+
 @pytest.mark.filterwarnings("error")
 def test_normalize_overflowing_weight_sum_is_a_one_line_error(capsys, tmp_path):
     bad = tmp_path / "bad.graph"
@@ -511,7 +527,7 @@ def run_capped_cli(argv):
 
 
 HUGE_HEADER = "nodes 10000000000\nedge 0 1 1\n"
-# A valid ring whose dense horizon table alone exceeds the cap.
+# A valid ring whose printed influence table exceeds the cap.
 BIG_RING = "nodes 9000\n" + "".join(f"edge {v} {(v + 1) % 9000} 1\n" for v in range(9000))
 
 

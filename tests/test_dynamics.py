@@ -23,7 +23,12 @@ from netinfluence import (
     random_graph,
 )
 from netinfluence import dynamics
-from oracles import build_mixing, initial_opinions_oracle, stationary_oracle
+from oracles import (
+    build_mixing,
+    initial_opinions_oracle,
+    stationary_oracle,
+    stationary_solve_oracle,
+)
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
 
@@ -311,6 +316,17 @@ def test_stationary_weights_counterexample_against_oracle():
     g = build_counterexample(2, 1)
     ours = eigenvector_weights(influence_matrix(g, 0.5)).weights
     assert np.max(np.abs(ours - stationary_oracle(g, 0.5))) < 1e-9
+
+
+@pytest.mark.parametrize("threshold", [dynamics.SPARSE_NODE_THRESHOLD, 1], ids=["dense", "sparse"])
+@pytest.mark.parametrize("alpha", [0.001, 0.5, 0.999])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stationary_weights_match_dense_solve_at_any_alpha(seed, alpha, threshold):
+    g = random_graph(80, 4, seed=seed)
+    with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", threshold):
+        gamma = influence_matrix(g, alpha)
+    ours = eigenvector_weights(gamma).weights
+    assert np.max(np.abs(ours - stationary_solve_oracle(g, alpha))) < 1e-10
 
 
 def test_power_iteration_budget_is_enforced():

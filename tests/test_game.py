@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from netinfluence import (
     GameConfig,
@@ -21,6 +22,7 @@ from netinfluence import (
     utility,
     utility_closed_form,
 )
+from netinfluence.game import _cache_by_bytes
 from oracles import payoffs_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -237,6 +239,18 @@ def test_consensus_route_rewards_heavier_stationary_weight():
     assert pi[0] > pi[1]
 
 
+def test_consensus_route_matches_dense_solve_at_small_alpha():
+    from oracles import initial_opinions_oracle, stationary_solve_oracle
+
+    g = random_graph(80, 4, seed=2)
+    cfg = GameConfig(graph=g, budgets=(2, 3), horizon=1, alpha=0.001)
+    sets = [{0, 7}, {3, 11, 40}]
+    weights = stationary_solve_oracle(g, cfg.alpha)
+    strengths = weights @ initial_opinions_oracle(g, sets, cfg.epsilon)
+    expected = strengths / strengths.sum()
+    assert np.max(np.abs(consensus_utility(cfg, sets) - expected)) < 1e-10
+
+
 # --- shared payoff-table plumbing --------------------------------------------
 
 
@@ -246,6 +260,39 @@ def test_payoff_table_is_cached_per_config():
     assert payoff_table(cfg, regime="consensus") is payoff_table(cfg, regime="consensus")
     with pytest.raises(ValueError, match="regime"):
         payoff_table(cfg, regime="instant")
+
+
+def test_table_cache_evicts_least_recently_used_bytes_first():
+    built = []
+
+    @_cache_by_bytes(3 * 800)
+    def table(key, floats):
+        built.append(key)
+        return np.zeros(floats)
+
+    first = table("a", 100)
+    table("b", 100)
+    assert table("a", 100) is first
+    table("c", 100)
+    table("d", 100)  # 3200 bytes held: "b" is the least recently used
+    table("a", 100)
+    table("b", 100)
+    assert built == ["a", "b", "c", "d", "b"]
+    huge = table("huge", 1000)  # over the bound alone: kept, everything else evicted
+    assert table("huge", 1000) is huge
+    table("a", 100)
+    assert built[-2:] == ["huge", "a"]
+    table.cache_clear()
+    table("a", 100)
+    assert built[-1] == "a" and len(built) == 8
+
+    @_cache_by_bytes(2000)
+    def identity(n):
+        return sp.identity(n, format="csc")  # 12n + 4 bytes of values and indices
+
+    first = identity(100)
+    identity(10)
+    assert identity(100) is first
 
 
 def test_horizon_table_shape_and_consensus_table_shape():

@@ -1,0 +1,137 @@
+"""Sparse horizon tables against the dense path on the same games.
+
+Patching ``dynamics.SPARSE_NODE_THRESHOLD`` to 1 builds every operator
+sparse, so horizon tables start from the sparse identity and stay compressed
+sparse column until they fill in.  The graphs below are sparse enough that
+their short-horizon tables stay compressed, which puts the column gather of
+``game._candidate_payoffs`` and the CLI's column output on the sparse path;
+every result must match the dense path's.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from scipy import sparse as sp
+
+from netinfluence import (
+    GameConfig,
+    best_response_dynamics,
+    diffusion_centrality_matrix,
+    dump_graph,
+    exact_best_response,
+    exhaustive_nash_check,
+    greedy_best_response,
+    influence_matrix,
+    payoff_table,
+    random_graph,
+)
+from netinfluence import dynamics, game
+from netinfluence.cli import main
+from netinfluence.game import _candidate_payoffs
+
+GRAPH = random_graph(60, 2, seed=5)
+
+
+@contextlib.contextmanager
+def sparse_operators():
+    """Build every operator sparse, with the library's caches empty on entry and exit."""
+    caches = (game._mixing_matrix, game._horizon_table, game._consensus_table)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", 1):
+            yield
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def is_csc(table) -> bool:
+    return sp.issparse(table) and table.format == "csc"
+
+
+def test_tables_stay_sparse_until_a_quarter_fills_and_match_dense():
+    dense_gamma = influence_matrix(GRAPH, 0.3)
+    with sparse_operators():
+        sparse_gamma = influence_matrix(GRAPH, 0.3)
+    formats = []
+    for t in range(13):
+        dense = diffusion_centrality_matrix(dense_gamma, t)
+        table = diffusion_centrality_matrix(sparse_gamma, t)
+        filled = 4 * np.count_nonzero(dense) > GRAPH.node_count**2
+        assert is_csc(table) != filled, t
+        if is_csc(table):
+            table = table.toarray()
+        assert np.max(np.abs(table - dense)) <= 1e-12, t
+        formats.append(filled)
+    # Short horizons stay sparse; the longest ones reach the switch to dense.
+    assert formats[:3] == [False] * 3 and formats[-1]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 2])
+def test_candidate_payoffs_match_dense(horizon, size):
+    cfg = GameConfig(GRAPH, (3, 2, 2), horizon=horizon)
+    others = [frozenset({3, 17}), frozenset({17, 40})]
+    candidates = [(v,) for v in range(cfg.n)] if size == 1 else [
+        (u, v) for u in range(cfg.n) for v in range(u + 1, cfg.n)
+    ]
+    expected = list(_candidate_payoffs(payoff_table(cfg), others, cfg.epsilon, candidates))
+    with sparse_operators():
+        table = payoff_table(cfg)
+        assert is_csc(table)
+        got = list(_candidate_payoffs(table, others, cfg.epsilon, candidates))
+    assert len(got) == len(expected)
+    for (nodes, pays), (ref_nodes, ref_pays) in zip(got, expected):
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.max(np.abs(pays - ref_pays)) <= 1e-12
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_best_responses_match_dense(horizon):
+    cfg = GameConfig(GRAPH, (2, 3, 1), horizon=horizon)
+    others = [frozenset({8, 21}), frozenset({8})]
+    dense = [exact_best_response(cfg, 1, others), greedy_best_response(cfg, 1, others)]
+    with sparse_operators():
+        assert is_csc(payoff_table(cfg))
+        sparse = [exact_best_response(cfg, 1, others), greedy_best_response(cfg, 1, others)]
+    for got, ref in zip(sparse, dense):
+        assert (got.strategy, got.evaluations) == (ref.strategy, ref.evaluations)
+        assert abs(got.payoff - ref.payoff) <= 1e-12
+
+
+def test_equilibrium_search_matches_dense():
+    g = random_graph(40, 2, seed=11)
+    cfg = GameConfig(g, (1, 1), horizon=1)
+    dynamics_cfg = GameConfig(g, (2, 1), horizon=2)
+    dense = exhaustive_nash_check(cfg)
+    dense_play = best_response_dynamics(dynamics_cfg, [{0, 1}, {2}])
+    with sparse_operators():
+        assert is_csc(payoff_table(cfg)) and is_csc(payoff_table(dynamics_cfg))
+        found = exhaustive_nash_check(cfg)
+        play = best_response_dynamics(dynamics_cfg, [{0, 1}, {2}])
+    assert dense and found == dense
+    assert (play.kind, play.profile) == (dense_play.kind, dense_play.profile)
+    assert dense_play.trace and [m[:3] for m in play.trace] == [m[:3] for m in dense_play.trace]
+    assert max(abs(a.delta - b.delta) for a, b in zip(play.trace, dense_play.trace)) <= 1e-12
+
+
+def test_centrality_horizon_prints_identically(capsys, tmp_path):
+    path = tmp_path / "rand.graph"
+    path.write_text(dump_graph(GRAPH))
+    argv = ["centrality", "--graph", str(path), "--horizon", "2", "--structured"]
+
+    def payload():
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if not line.startswith("time_ms")]
+
+    dense = payload()
+    with sparse_operators():
+        assert is_csc(diffusion_centrality_matrix(influence_matrix(GRAPH, 0.5), 2))
+        sparse = payload()
+    assert sparse == dense
