@@ -380,7 +380,7 @@ def cmd_generate(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write graph file {args.output}: {exc.strerror}") from None
         report.param("nodes", g.node_count)
-        report.param("edges", len(g.edges))
+        report.param("edges", g.src.size)
         report.line(f"written {args.output}")
         return _emit(report, args, started)
     sys.stdout.write(document)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as _sparse
 
-from .graph import Graph, _edge_arrays, _validate_edges
+from .graph import Graph, validate
 
 SPARSE_NODE_THRESHOLD = 2000
 DEFAULT_EIGEN_TOL = 1e-12
@@ -62,26 +62,30 @@ def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     n = g.node_count
-    if n > 1 and len(g.edges) < n:
+    if n > 1 and g.src.size < n:
         # Every node of a strongly connected graph has an in-edge; checked
         # first so a huge node count costs nothing before it is rejected.
         raise ValueError(
             f"graph fails validation ({n} nodes need at least {n} edges to be "
-            f"strongly connected, got {len(g.edges)})"
+            f"strongly connected, got {g.src.size})"
         )
-    src, dst, weight = _edge_arrays(g)
-    report = _validate_edges(n, src, dst, weight)
+    report = validate(g)
     if not report.ok:
         raise ValueError(
             "graph fails validation "
             f"(stochastic={report.stochastic}, strongly_connected={report.strongly_connected}, "
             f"offending_nodes={report.offending_nodes[:5]})"
         )
-    diagonal = np.arange(n)
-    data = np.concatenate((alpha * weight, np.full(n, 1.0 - alpha)))
-    coords = (np.concatenate((dst, diagonal)), np.concatenate((src, diagonal)))
-    entries = _sparse.coo_matrix((data, coords), shape=(n, n))
-    entries = entries.tocsr() if n > SPARSE_NODE_THRESHOLD else entries.toarray()
+    if n > SPARSE_NODE_THRESHOLD:
+        diagonal = np.arange(n)
+        data = np.concatenate((alpha * g.weight, np.full(n, 1.0 - alpha)))
+        coords = (np.concatenate((g.dst, diagonal)), np.concatenate((g.src, diagonal)))
+        entries = _sparse.coo_matrix((data, coords), shape=(n, n)).tocsr()
+    else:
+        # Validated edges have no repeats and no self-loops, so no entry is written twice.
+        entries = np.zeros((n, n))
+        entries[g.dst, g.src] = alpha * g.weight
+        np.fill_diagonal(entries, 1.0 - alpha)
     return InfluenceMatrix(n, alpha, entries)
 
 
@@ -209,9 +213,12 @@ def eigenvector_weights(
     the lazy walk ``(I + W) / 2``, which converges at a rate independent of
     ``alpha``; the iteration runs on the lazy walk, with ``W`` recovered from
     ``entries``.  It starts from the uniform vector, renormalizes to unit sum
-    each round, and stops when two successive iterates agree within ``tol`` in
-    max-norm.  The result is checked to satisfy the fixed-point equation of
-    ``entries`` within ``10 * tol``.
+    each round, and stops once the step (the max-norm change of the last
+    round) is below ``tol`` and so is the estimated distance to the fixed
+    point, ``step * rate / (1 - rate)`` with ``rate`` the ratio of the step to
+    the one before; or once a step below ``tol`` is no smaller than the one
+    before, which leaves only rounding noise.  The result is checked to
+    satisfy the fixed-point equation of ``entries`` within ``10 * tol``.
 
     Raises:
         PowerIterationError: when the iteration budget runs out or the
@@ -222,13 +229,15 @@ def eigenvector_weights(
     walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
     transposed = ((identity + walk) / 2).T
     c = np.full(gamma.n, 1.0 / gamma.n)
-    delta = np.inf
+    delta = np.nan  # no step yet, so the first round has no rate and no estimate
     for _ in range(max_iter):
         nxt = transposed @ c
         nxt /= nxt.sum()
-        delta = np.max(np.abs(nxt - c))
-        c = nxt
-        if delta < tol:
+        step = np.max(np.abs(nxt - c))
+        rate, delta, c = step / delta, step, nxt
+        # Steps shrinking at rate r < 1 leave about step * r / (1 - r) to go;
+        # steps below tol that stop shrinking are rounding noise.
+        if step == 0 or step < tol and (rate >= 1 or step * rate < tol * (1 - rate)):
             break
     else:
         raise PowerIterationError(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 STOCHASTIC_TOL = 1e-9
+_MAX_NODE_COUNT = int(np.iinfo(np.int64).max)
 
 
 class GraphFormatError(ValueError):
@@ -38,40 +39,132 @@ class _EdgeError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+def _node_count_problem(node_count: int) -> str | None:
+    if node_count < 1:
+        return "graph must have at least one node"
+    if node_count > _MAX_NODE_COUNT:
+        return f"graph must have at most {_MAX_NODE_COUNT} nodes"
+    return None
+
+
+def _id_array(ids, node_count: int) -> np.ndarray:
+    """Node ids (anything ``int`` accepts) as int64.
+
+    Ids outside int64 are stored as -1 or ``node_count``, which are out of
+    range just as they are.
+    """
+    try:
+        return np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
+    except OverflowError:
+        clipped = (min(max(int(x), -1), node_count) for x in ids)
+        return np.fromiter(clipped, dtype=np.int64, count=len(ids))
+
+
+def _repeats(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Mask of the edges whose (source, target) pair an earlier edge already has."""
+    repeat = np.zeros(src.size, dtype=bool)
+    order = np.lexsort((dst, src))  # stable, so each pair's first edge sorts first
+    later, earlier = order[1:], order[:-1]
+    repeat[later[(src[later] == src[earlier]) & (dst[later] == dst[earlier])]] = True
+    return repeat
+
+
+def _check_edges(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, ends) -> None:
+    """Raise ``_EdgeError`` for the first edge a graph rejects, naming its first failed check.
+
+    The checks, in order: both node ids in range, no self-loop, a finite
+    positive weight, no earlier edge with the same source and target.
+    ``ends(k)`` gives edge ``k``'s ids as written, for the message.
+    """
+    unknown = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    loop = src == dst
+    bad_weight = ~((weight > 0) & (weight < math.inf))
+    bad = np.flatnonzero(unknown | loop | bad_weight | _repeats(src, dst))
+    if not bad.size:
+        return
+    k = int(bad[0])
+    u, v = ends(k)
+    w = float(weight[k])
+    if unknown[k]:
+        message = f"edge ({u}, {v}) references an unknown node id"
+    elif loop[k]:
+        message = f"self-loop at node {u} is not allowed"
+    elif bad_weight[k]:
+        kind = "non-finite" if not math.isfinite(w) else "non-positive"
+        message = f"edge ({u}, {v}) has {kind} weight {w}"
+    else:
+        message = f"duplicate edge ({u}, {v})"
+    raise _EdgeError(message, k)
+
+
 class Graph:
     """Immutable weighted digraph on dense node ids.
 
-    ``edges`` holds ``(source, target, weight)`` triples.  Duplicate edges,
-    self-loops and weights that are not finite and positive are rejected: a
-    node's retention of its own opinion is a dynamics parameter, not an edge.
+    Stored as ``node_count`` and three read-only arrays in edge order:
+    ``src`` and ``dst`` (int64) and ``weight`` (float64).  ``edges`` builds
+    the ``(source, target, weight)`` triples from them on each access.
+    Duplicate edges, self-loops and weights that are not finite and positive
+    are rejected: a node's retention of its own opinion is a dynamics
+    parameter, not an edge.  Two graphs are equal when their node counts and
+    arrays are; the hash is computed once, when the graph is made.
     """
 
-    node_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    __slots__ = ("node_count", "src", "dst", "weight", "_hash")
 
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("graph must have at least one node")
-        seen: set[tuple[int, int]] = set()
-        for k, (u, v, w) in enumerate(self.edges):
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise _EdgeError(f"edge ({u}, {v}) references an unknown node id", k)
-            if u == v:
-                raise _EdgeError(f"self-loop at node {u} is not allowed", k)
-            if not 0 < w < math.inf:
-                kind = "non-finite" if not math.isfinite(w) else "non-positive"
-                raise _EdgeError(f"edge ({u}, {v}) has {kind} weight {w}", k)
-            if (u, v) in seen:
-                raise _EdgeError(f"duplicate edge ({u}, {v})", k)
-            seen.add((u, v))
+    def __init__(self, node_count: int, edges):
+        problem = _node_count_problem(node_count)
+        if problem:
+            raise ValueError(problem)
+        edges = tuple(edges)
+        us, vs, ws = zip(*edges, strict=True) if edges else ((), (), ())
+        src, dst = _id_array(us, node_count), _id_array(vs, node_count)
+        self._fill(node_count, src, dst, np.array(ws, dtype=float), lambda k: edges[k][:2])
 
+    @classmethod
+    def _from_arrays(cls, node_count: int, src, dst, weight, ends) -> "Graph":
+        """A graph on arrays whose node count is already checked; see ``_check_edges``."""
+        g = cls.__new__(cls)
+        g._fill(node_count, src, dst, weight, ends)
+        return g
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``g.edges`` as integer source and target arrays and a weight array, in edge order."""
-    fields = [("src", np.intp), ("dst", np.intp), ("weight", float)]
-    edges = np.fromiter(g.edges, dtype=fields, count=len(g.edges))
-    return edges["src"], edges["dst"], edges["weight"]
+    def _fill(self, node_count, src, dst, weight, ends):
+        _check_edges(node_count, src, dst, weight, ends)
+        for array_ in (src, dst, weight):
+            array_.flags.writeable = False
+        fingerprint = (node_count, src.tobytes(), dst.tobytes(), weight.tobytes())
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "_hash", hash(fingerprint))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``(source, target, weight)`` triples in edge order, built on each access."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.node_count == other.node_count
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.weight, other.weight)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.node_count, self.edges)
+
+    def __repr__(self) -> str:
+        return f"Graph(node_count={self.node_count}, edges={self.edges})"
 
 
 @dataclass(frozen=True)
@@ -119,19 +212,50 @@ def validate(g: Graph, tol: float = STOCHASTIC_TOL) -> ValidationReport:
         g: the graph under test.
         tol: allowed absolute deviation of each incoming weight sum from one.
     """
-    return _validate_edges(g.node_count, *_edge_arrays(g), tol)
-
-
-def _validate_edges(
-    n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, tol: float = STOCHASTIC_TOL
-) -> ValidationReport:
-    """``validate`` on a graph already converted by ``_edge_arrays``."""
-    gaps = np.abs(np.bincount(dst, weights=weight, minlength=n) - 1.0)
+    n, src, dst = g.node_count, g.src, g.dst
+    gaps = np.abs(np.bincount(dst, weights=g.weight, minlength=n) - 1.0)
     bad = np.flatnonzero(gaps > tol)
     cut_off = np.flatnonzero(~(_reached_from_zero(n, src, dst) & _reached_from_zero(n, dst, src)))
     defects = dict(zip(bad.tolist(), gaps[bad].tolist()))
     defects |= dict.fromkeys(cut_off.tolist(), math.inf)
     return ValidationReport(not len(bad), not len(cut_off), tuple(sorted(defects.items())))
+
+
+def _edge_columns(node_count: int, us: list, vs: list, ws: list, edge_lines) -> tuple:
+    """Edge token strings as id and weight arrays.
+
+    Raises:
+        GraphFormatError: at the first edge line with a token ``int`` or
+            ``float`` rejects.
+    """
+    try:
+        weight = np.fromiter(map(float, ws), dtype=float, count=len(ws))
+        return _id_array(us, node_count), _id_array(vs, node_count), weight
+    except ValueError:
+        for k, tokens in enumerate(zip(us, vs, ws)):
+            try:
+                int(tokens[0]), int(tokens[1]), float(tokens[2])
+            except ValueError:
+                raise GraphFormatError(f"bad edge tokens {list(tokens)!r}", edge_lines[k]) from None
+        raise
+
+
+def _in_weight_sums(dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Incoming weight per node, summed in edge order, up to the largest target.
+
+    Raises:
+        _EdgeError: at the first edge whose node's running sum leaves the
+            float range.
+    """
+    sums = np.bincount(dst, weights=weight)
+    if not np.isfinite(sums).all():
+        running: dict[int, float] = {}
+        for k in np.flatnonzero(~np.isfinite(sums[dst])).tolist():
+            v = int(dst[k])
+            running[v] = running.get(v, 0.0) + float(weight[k])
+            if not math.isfinite(running[v]):
+                raise _EdgeError(f"incoming weights of node {v} overflow to a non-finite sum", k)
+    return sums
 
 
 def load_graph(source, normalize: bool = False) -> Graph:
@@ -140,7 +264,9 @@ def load_graph(source, normalize: bool = False) -> Graph:
     ``source`` may be a string holding the whole document or any iterable of
     lines (an open file works).  Lines starting with ``#`` and blank lines are
     skipped.  The first payload line must be ``nodes <count>``; every further
-    payload line must be ``edge <source> <target> <weight>``.
+    payload line must be ``edge <source> <target> <weight>``.  One pass over
+    the lines collects the edge tokens as strings; they are then converted
+    and checked as arrays.
 
     Args:
         source: document text or iterable of lines.
@@ -156,47 +282,49 @@ def load_graph(source, normalize: bool = False) -> Graph:
         source = source.splitlines()
 
     node_count: int | None = None
-    edges: list[tuple[int, int, float]] = []
+    # Strings, unlike tuples, are not tracked by the garbage collector.
+    us: list[str] = []
+    vs: list[str] = []
+    ws: list[str] = []
     edge_lines = array("q")
+    add_u, add_v, add_w, add_line = us.append, vs.append, ws.append, edge_lines.append
     for line_no, raw in enumerate(source, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
+        tokens = raw.split()
+        if len(tokens) == 4 and tokens[0] == "edge" and node_count is not None:
+            add_u(tokens[1])
+            add_v(tokens[2])
+            add_w(tokens[3])
+            add_line(line_no)
             continue
-        tokens = text.split()
-        if node_count is None:
-            if tokens[0] != "nodes" or len(tokens) != 2:
-                raise GraphFormatError("expected 'nodes <count>' header", line_no)
-            try:
-                node_count = int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(f"bad node count {tokens[1]!r}", line_no) from None
-            if node_count < 1:
-                raise GraphFormatError("graph must have at least one node", line_no)
+        if not tokens or tokens[0].startswith("#"):
             continue
-        if tokens[0] != "edge" or len(tokens) != 4:
+        if node_count is not None:
+            _edge_columns(node_count, us, vs, ws, edge_lines)  # a bad token on an earlier line wins
             raise GraphFormatError("expected 'edge <source> <target> <weight>'", line_no)
+        if tokens[0] != "nodes" or len(tokens) != 2:
+            raise GraphFormatError("expected 'nodes <count>' header", line_no)
         try:
-            u, v = int(tokens[1]), int(tokens[2])
-            w = float(tokens[3])
+            node_count = int(tokens[1])
         except ValueError:
-            raise GraphFormatError(f"bad edge tokens {tokens[1:]!r}", line_no) from None
-        edges.append((u, v, w))
-        edge_lines.append(line_no)
+            raise GraphFormatError(f"bad node count {tokens[1]!r}", line_no) from None
+        problem = _node_count_problem(node_count)
+        if problem:
+            raise GraphFormatError(problem, line_no)
 
     if node_count is None:
         raise GraphFormatError("empty document: missing 'nodes <count>' header")
 
+    src, dst, weight = _edge_columns(node_count, us, vs, ws, edge_lines)
+
+    def ends(k):
+        return int(us[k]), int(vs[k])
+
     try:
         if normalize:
-            Graph(node_count, tuple(edges))  # checks the raw weights
+            _check_edges(node_count, src, dst, weight, ends)  # checks the raw weights
             # Sized by the largest target, so a huge header allocates nothing.
-            sums = [0.0] * (max((v for _, v, _ in edges), default=-1) + 1)
-            for k, (_, v, w) in enumerate(edges):
-                sums[v] += w
-                if not math.isfinite(sums[v]):
-                    raise _EdgeError(f"incoming weights of node {v} overflow to a non-finite sum", k)
-            edges = [(u, v, w / sums[v]) for u, v, w in edges]
-        return Graph(node_count, tuple(edges))
+            weight = weight / _in_weight_sums(dst, weight)[dst]
+        return Graph._from_arrays(node_count, src, dst, weight, ends)
     except _EdgeError as exc:
         raise GraphFormatError(str(exc), edge_lines[exc.index]) from None
 
@@ -208,7 +336,7 @@ def dump_graph(g: Graph) -> str:
     inside the validation tolerance.
     """
     lines = [f"nodes {g.node_count}"]
-    for u, v, w in g.edges:
+    for u, v, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
         lines.append(f"edge {u} {v} {format(w, '#.12g')}")
     return "\n".join(lines) + "\n"
 

@@ -7,6 +7,8 @@ solve instead of power iteration, and payoffs come from an explicit simulation o
 the averaging recurrence.  ``random_graph_edges_oracle`` is the random
 generator written the plain quadratic way, to pin the package's faster one.
 ``validate_oracle`` checks a graph with adjacency lists and two graph searches.
+``load_graph_oracle`` parses an edge list one line and one edge at a time, the
+way the package did before it stored graphs as arrays.
 ``scan_best_oracle`` and ``exhaustive_nash_oracle`` are the exceptions: they
 are the solver loops that score one candidate or one profile per
 ``table_payoffs`` call, kept to pin the batched scoring kernel to them.
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 
 from netinfluence.game import assemble_profile, payoff_table, table_payoffs
-from netinfluence.graph import STOCHASTIC_TOL, ValidationReport
+from netinfluence.graph import STOCHASTIC_TOL, GraphFormatError, ValidationReport
 from netinfluence.solver import IMPROVEMENT_TOL
 
 
@@ -70,6 +73,82 @@ def validate_oracle(g, tol: float = STOCHASTIC_TOL) -> ValidationReport:
     return ValidationReport(stochastic, not cut_off, tuple(sorted(defects.items())))
 
 
+class _EdgeOracleError(ValueError):
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _check_edges_oracle(node_count, edges):
+    """``Graph``'s edge checks, one edge at a time: the first bad edge raises."""
+    seen = set()
+    for k, (u, v, w) in enumerate(edges):
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise _EdgeOracleError(f"edge ({u}, {v}) references an unknown node id", k)
+        if u == v:
+            raise _EdgeOracleError(f"self-loop at node {u} is not allowed", k)
+        if not 0 < w < math.inf:
+            kind = "non-finite" if not math.isfinite(w) else "non-positive"
+            raise _EdgeOracleError(f"edge ({u}, {v}) has {kind} weight {w}", k)
+        if (u, v) in seen:
+            raise _EdgeOracleError(f"duplicate edge ({u}, {v})", k)
+        seen.add((u, v))
+
+
+def load_graph_oracle(source, normalize: bool = False):
+    """``(node_count, edges)`` of ``load_graph(source, normalize)``, parsed line by line.
+
+    Raises the same ``GraphFormatError`` messages at the same lines.
+    """
+    if isinstance(source, str):
+        source = source.splitlines()
+    node_count = None
+    edges = []
+    edge_lines = array("q")
+    for line_no, raw in enumerate(source, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        tokens = text.split()
+        if node_count is None:
+            if tokens[0] != "nodes" or len(tokens) != 2:
+                raise GraphFormatError("expected 'nodes <count>' header", line_no)
+            try:
+                node_count = int(tokens[1])
+            except ValueError:
+                raise GraphFormatError(f"bad node count {tokens[1]!r}", line_no) from None
+            if node_count < 1:
+                raise GraphFormatError("graph must have at least one node", line_no)
+            continue
+        if tokens[0] != "edge" or len(tokens) != 4:
+            raise GraphFormatError("expected 'edge <source> <target> <weight>'", line_no)
+        try:
+            u, v = int(tokens[1]), int(tokens[2])
+            w = float(tokens[3])
+        except ValueError:
+            raise GraphFormatError(f"bad edge tokens {tokens[1:]!r}", line_no) from None
+        edges.append((u, v, w))
+        edge_lines.append(line_no)
+    if node_count is None:
+        raise GraphFormatError("empty document: missing 'nodes <count>' header")
+
+    try:
+        _check_edges_oracle(node_count, edges)
+        if normalize:
+            sums = {}
+            for k, (_, v, w) in enumerate(edges):
+                sums[v] = sums.get(v, 0.0) + w
+                if not math.isfinite(sums[v]):
+                    raise _EdgeOracleError(
+                        f"incoming weights of node {v} overflow to a non-finite sum", k
+                    )
+            edges = [(u, v, w / sums[v]) for u, v, w in edges]
+            _check_edges_oracle(node_count, edges)
+    except _EdgeOracleError as exc:
+        raise GraphFormatError(str(exc), edge_lines[exc.index]) from None
+    return node_count, tuple(edges)
+
+
 def stationary_oracle(g, alpha: float) -> np.ndarray:
     """Stationary weights via a dense linear solve of the fixed-point system.
 
@@ -92,7 +171,8 @@ def stationary_solve_oracle(g, alpha: float) -> np.ndarray:
     replaced by ``sum(c) = 1``; its error does not grow as ``alpha`` shrinks.
     """
     n = g.node_count
-    system = build_mixing(g, alpha).T - np.eye(n)
+    system = build_mixing(g, alpha).T  # a view: no second n x n array
+    system[np.diag_indices(n)] -= 1.0
     system[-1] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0

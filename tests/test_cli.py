@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netinfluence import cli, dynamics, game, graph
+from netinfluence import cli, dynamics, game
 from netinfluence import (
     GameConfig,
     build_counterexample,
@@ -178,12 +178,7 @@ def test_simulate_state_builds_the_operator_once(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(
-        dynamics, "_validate_edges", counted("validate", dynamics._validate_edges)
-    )
-    edge_arrays = counted("edge_arrays", graph._edge_arrays)
-    for module in (graph, dynamics):
-        monkeypatch.setattr(module, "_edge_arrays", edge_arrays)
+    monkeypatch.setattr(dynamics, "validate", counted("validate", dynamics.validate))
     for module in (game, cli):
         monkeypatch.setattr(
             module, "influence_matrix", counted("influence_matrix", dynamics.influence_matrix)
@@ -195,7 +190,7 @@ def test_simulate_state_builds_the_operator_once(
          "--horizon", "3", "--state", "--trace", "--structured"],
     )
     assert code == 0 and len(field(out, "trace")) == 4
-    assert calls == {"validate": 1, "edge_arrays": 1, "influence_matrix": 1}
+    assert calls == {"validate": 1, "influence_matrix": 1}
 
 
 def test_simulate_trace_steps_the_horizon_once(

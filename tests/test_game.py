@@ -251,6 +251,18 @@ def test_consensus_route_matches_dense_solve_at_small_alpha():
     assert np.max(np.abs(consensus_utility(cfg, sets) - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_consensus_route_matches_dense_solve_on_a_large_graph(seed):
+    from oracles import initial_opinions_oracle, stationary_solve_oracle
+
+    g = random_graph(3000, 4, seed=seed)
+    cfg = GameConfig(graph=g, budgets=(3, 3), horizon=1)
+    sets = [{1, 2, 3}, {10, 20, 30}]
+    strengths = stationary_solve_oracle(g, cfg.alpha) @ initial_opinions_oracle(g, sets, cfg.epsilon)
+    expected = strengths / strengths.sum()
+    assert np.max(np.abs(consensus_utility(cfg, sets) - expected)) < 1e-10
+
+
 # --- shared payoff-table plumbing --------------------------------------------
 
 

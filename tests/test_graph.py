@@ -6,20 +6,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netinfluence import (
+    GameConfig,
     Graph,
     GraphFormatError,
     build_counterexample,
     dump_graph,
     load_graph,
+    payoff_table,
     random_graph,
     validate,
 )
 
-from oracles import random_graph_edges_oracle, validate_oracle
+from oracles import load_graph_oracle, random_graph_edges_oracle, validate_oracle
 
 TWO_CYCLE = "nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"
 
@@ -61,6 +63,9 @@ def test_parse_accepts_iterable_of_lines():
         ("nodes 2\nedge 0 1 inf\n", 2, "non-finite weight"),
         ("nodes 2\nedge 0 1 nan\n", 2, "non-finite weight"),
         ("nodes 2\nedge 0 1 0.5\nedge 0 1 0.5\n", 3, "duplicate edge"),
+        ("nodes 2\nedge 0 99999999999999999999 1\n", 2, "references an unknown node id"),
+        ("nodes 2\nedge -99999999999999999999 1 1\n", 2, "references an unknown node id"),
+        ("nodes 10000000000000000000\nedge 0 1 1\n", 1, "at most 9223372036854775807 nodes"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -68,6 +73,87 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         load_graph(text)
     assert fragment in str(exc_info.value)
     assert exc_info.value.line == line
+
+
+@st.composite
+def edge_documents(draw):
+    """Edge-list documents: well formed, or broken in a few places.
+
+    A per-document rate decides how often a token or line is replaced by an
+    odd one: ids out of range (some beyond int64) or not integers (``1_0``
+    is one), weights that are zero, negative, ``nan``, ``inf``, unparsable or
+    large enough for their sums to overflow, self-loops, repeated pairs,
+    comments, blank lines, lines with the wrong tokens and bad headers.
+    """
+    odd = draw(st.sampled_from([0, 5, 15, 30]))  # percent
+
+    def pick(common, rare):
+        return draw(st.sampled_from(rare if draw(st.integers(0, 99)) < odd else common))
+
+    n = pick([2, 3, 4, 5], [1])
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True)) if pairs else []
+    lines = [pick(["# comment"], ["", "  # indented"]) for _ in range(draw(st.integers(0, 1)))]
+    bad_headers = ["", "nodes", "vertices 3", "nodes 0", "nodes -2", "nodes two", "nodes 1_0",
+                   "nodes 10000000000", f"  nodes {n}  "]
+    lines.append(pick([f"nodes {n}"], bad_headers))
+    bad_ids = ["-1", str(n), "1_0", "x", "99999999999999999999", "-99999999999999999999"]
+    bad_weights = ["1e-320", "1_0.5", "0", "-0.5", "-0.0", "nan", "inf", "-inf", "w"]
+    bad_lines = ["", "# comment", "edge 0 1", "edge 0 1 1 1", "link 0 1 1", "nodes 3"]
+    for u, v in chosen:
+        u, v = pick([(u, v)], [(u, u), chosen[0]])
+        ids = [pick([str(x)], bad_ids) for x in (u, v)]
+        weight = pick(["1", "0.5", "0.25", "2.5", "1e308"], bad_weights)
+        lines.append(pick([f"edge {ids[0]} {ids[1]} {weight}"], bad_lines))
+    return "\n".join(lines) + "\n"
+
+
+def _parse(parser, text, normalize):
+    try:
+        g = parser(text, normalize=normalize)
+    except GraphFormatError as exc:
+        return str(exc), exc.line
+    return (g.node_count, g.edges) if isinstance(g, Graph) else g
+
+
+@settings(max_examples=300)
+@given(edge_documents(), st.booleans())
+@example("nodes 3\nedge 0 x 1\nedge 0 1\n", False)
+@example("nodes 3\nedge 0 1 1e308\nedge 2 1 1e308\nedge 1 0 1\nedge 1 2 1\n", True)
+@example("nodes 3\nedge 0 1 1e-320\nedge 2 1 1e308\nedge 1 0 1\n", True)
+@example("nodes 4\nedge 1 3 1\nedge 0 1 1\nedge 1 3 1\n", False)
+def test_load_graph_matches_line_by_line_oracle(text, normalize):
+    assert _parse(load_graph, text, normalize) == _parse(load_graph_oracle, text, normalize)
+
+
+EXACT = ((0, 1, 0.5), (0, 2, 1.0), (1, 0, 1.0), (2, 1, 0.5))
+
+
+def test_equal_graphs_hash_equal_however_built():
+    built = Graph(3, EXACT)
+    parsed = load_graph("nodes 3\n" + "".join(f"edge {u} {v} {w}\n" for u, v, w in EXACT))
+    round_trip = load_graph(dump_graph(built))
+    for other in (parsed, round_trip):
+        assert other == built and hash(other) == hash(built)
+        assert other.edges == EXACT
+    heavier = Graph(3, EXACT[:3] + ((2, 1, 0.75),))
+    assert heavier != built
+    assert Graph(4, EXACT) != built
+
+
+def test_payoff_table_is_shared_by_equal_graphs():
+    first = payoff_table(GameConfig(Graph(3, EXACT), (1, 1), horizon=2))
+    second = payoff_table(GameConfig(load_graph(dump_graph(Graph(3, EXACT))), (1, 1), horizon=2))
+    assert second is first
+
+
+def test_graph_arrays_are_read_only():
+    g = Graph(3, EXACT)
+    assert (g.src.dtype, g.dst.dtype, g.weight.dtype) == (np.int64, np.int64, np.float64)
+    with pytest.raises(ValueError):
+        g.weight[0] = 2.0
+    with pytest.raises(AttributeError):
+        g.node_count = 4
 
 
 def test_validate_two_cycle_clean():
