@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from scipy import sparse
+import numpy as np
 
 from . import __version__
 from .dynamics import (
@@ -238,7 +238,7 @@ def cmd_centrality(args) -> int:
     else:
         table = diffusion_centrality_matrix(gamma, args.horizon)
         for v in range(g.node_count):
-            column = table[:, [v]].toarray().ravel() if sparse.issparse(table) else table[:, v]
+            column = table[:, v] if isinstance(table, np.ndarray) else table[:, [v]].toarray().ravel()
             report.line(f"influence {v} " + " ".join(fmt(x) for x in column))
     return _emit(report, args, started)
 

@@ -9,16 +9,24 @@ step by step, the horizon table ``diffusion_centrality_matrix`` is its
 ``t``-th power (column ``u``: how much source ``u`` shapes everyone after
 ``t`` steps), and ``eigenvector_weights`` gives the stationary weights every
 opinion converges toward.
+
+Operators are dense numpy arrays up to ``SPARSE_NODE_THRESHOLD`` nodes and
+``scipy.sparse`` matrices above it.  scipy is imported only when a graph
+above the threshold builds its operator, so small-graph runs never load it;
+code elsewhere tells the formats apart with ``isinstance(x, np.ndarray)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as _sparse
 
-from .graph import Graph, validate
+from .graph import Graph, check_seed_ids, validate
+
+if TYPE_CHECKING:
+    from scipy import sparse as _sparse
 
 SPARSE_NODE_THRESHOLD = 2000
 DEFAULT_EIGEN_TOL = 1e-12
@@ -80,7 +88,7 @@ def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
         diagonal = np.arange(n)
         data = np.concatenate((alpha * g.weight, np.full(n, 1.0 - alpha)))
         coords = (np.concatenate((g.dst, diagonal)), np.concatenate((g.src, diagonal)))
-        entries = _sparse.coo_matrix((data, coords), shape=(n, n)).tocsr()
+        entries = _scipy_sparse().coo_matrix((data, coords), shape=(n, n)).tocsr()
     else:
         # Validated edges have no repeats and no self-loops, so no entry is written twice.
         entries = np.zeros((n, n))
@@ -132,12 +140,9 @@ def initialize(g: Graph, seed_sets, epsilon: float) -> OpinionState:
         raise ValueError("need at least one player")
     if not 0 < epsilon < 1.0 / (2 * m):
         raise ValueError(f"epsilon must lie in (0, 1/(2m)) = (0, {1.0 / (2 * m)})")
-    n = g.node_count
     for i, s in enumerate(seed_sets):
-        for v in s:
-            if not 0 <= v < n:
-                raise ValueError(f"player {i} seeds unknown node id {v}")
-    return OpinionState(0, seeded_opinions(n, seed_sets, epsilon))
+        check_seed_ids(g.node_count, i, s)
+    return OpinionState(0, seeded_opinions(g.node_count, seed_sets, epsilon))
 
 
 def evolve(state: OpinionState, gamma: InfluenceMatrix, t_steps: int) -> OpinionState:
@@ -158,11 +163,18 @@ def evolve(state: OpinionState, gamma: InfluenceMatrix, t_steps: int) -> Opinion
     return OpinionState(state.t + t_steps, x)
 
 
+def _scipy_sparse():
+    """``scipy.sparse``, imported on first use: only operators above the threshold need it."""
+    from scipy import sparse
+
+    return sparse
+
+
 def _identity(gamma: InfluenceMatrix) -> np.ndarray | _sparse.csr_matrix:
     """The identity in the operator's format."""
-    if _sparse.issparse(gamma.entries):
-        return _sparse.identity(gamma.n, format="csr")
-    return np.eye(gamma.n)
+    if isinstance(gamma.entries, np.ndarray):
+        return np.eye(gamma.n)
+    return _scipy_sparse().identity(gamma.n, format="csr")
 
 
 def diffusion_centrality_matrix(
@@ -186,9 +198,9 @@ def diffusion_centrality_matrix(
     table = _identity(gamma)
     for _ in range(t_steps):
         table = gamma.entries @ table
-        if _sparse.issparse(table) and 4 * table.nnz > n * n:
+        if not isinstance(table, np.ndarray) and 4 * table.nnz > n * n:
             table = table.toarray()
-    return table.tocsc() if _sparse.issparse(table) else table
+    return table if isinstance(table, np.ndarray) else table.tocsc()
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +228,10 @@ def eigenvector_weights(
     each round, and stops once the step (the max-norm change of the last
     round) is below ``tol`` and so is the estimated distance to the fixed
     point, ``step * rate / (1 - rate)`` with ``rate`` the ratio of the step to
-    the one before; or once a step below ``tol`` is no smaller than the one
-    before, which leaves only rounding noise.  The result is checked to
-    satisfy the fixed-point equation of ``entries`` within ``10 * tol``.
+    the one before, or once a step below ``tol`` is no smaller than the one
+    before, which leaves only rounding noise; either must hold on three
+    rounds running.  The result is checked to satisfy the fixed-point
+    equation of ``entries`` within ``10 * tol``.
 
     Raises:
         PowerIterationError: when the iteration budget runs out or the
@@ -230,14 +243,19 @@ def eigenvector_weights(
     transposed = ((identity + walk) / 2).T
     c = np.full(gamma.n, 1.0 / gamma.n)
     delta = np.nan  # no step yet, so the first round has no rate and no estimate
+    settled = 0  # rounds in a row that passed the stopping test
     for _ in range(max_iter):
         nxt = transposed @ c
         nxt /= nxt.sum()
         step = np.max(np.abs(nxt - c))
         rate, delta, c = step / delta, step, nxt
         # Steps shrinking at rate r < 1 leave about step * r / (1 - r) to go;
-        # steps below tol that stop shrinking are rounding noise.
-        if step == 0 or step < tol and (rate >= 1 or step * rate < tol * (1 - rate)):
+        # steps below tol that stop shrinking are rounding noise.  The rate can
+        # sag below the settled one for twenty rounds, so that the estimate
+        # reads a third low; two more passing rounds shrink the error by that.
+        passed = step < tol and (rate >= 1 or step * rate < tol * (1 - rate))
+        settled = settled + 1 if passed else 0
+        if step == 0 or settled == 3:
             break
     else:
         raise PowerIterationError(

@@ -16,10 +16,9 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from .dynamics import (
     OpinionState,
@@ -29,7 +28,10 @@ from .dynamics import (
     influence_matrix,
     seeded_opinions,
 )
-from .graph import Graph
+from .graph import Graph, check_seed_ids
+
+if TYPE_CHECKING:
+    from scipy import sparse as _sparse
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,7 @@ def check_seed_set(cfg: GameConfig, i: int, s, require_nonempty: bool = True):
         raise ValueError(f"player {i} has an empty seed set")
     if len(s) > cfg.budgets[i]:
         raise ValueError(f"player {i} seeds {len(s)} nodes, over their budget {cfg.budgets[i]}")
-    for v in s:
-        if not 0 <= v < cfg.n:
-            raise ValueError(f"player {i} seeds unknown node id {v}")
+    check_seed_ids(cfg.n, i, s)
 
 
 def check_profile(cfg: GameConfig, profile: StrategyProfile, require_nonempty: bool = True):
@@ -171,9 +171,9 @@ def _mixing_matrix(graph: Graph, alpha: float):
 
 def _table_bytes(table) -> int:
     """Memory held by a dense table or by a compressed sparse table's three arrays."""
-    if _sparse.issparse(table):
-        return table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
-    return table.nbytes
+    if isinstance(table, np.ndarray):
+        return table.nbytes
+    return table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
 
 
 def _cache_by_bytes(max_bytes: int):
@@ -293,10 +293,10 @@ def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
         nodes = np.fromiter(chunk, dtype=np.intp).reshape(-1, size)
         if not len(nodes):
             return
-        if _sparse.issparse(columns):
-            block = columns[nodes.ravel()].toarray().reshape(nodes.shape + (-1,))
-        else:
+        if isinstance(columns, np.ndarray):
             block = columns[nodes]
+        else:
+            block = columns[nodes.ravel()].toarray().reshape(nodes.shape + (-1,))
         own = own_base + np.einsum("kbr,kb->kr", block, own_gain[nodes])
         total = total_base + np.einsum("kbr,kb->kr", block, total_gain[nodes])
         yield nodes, (own / total).mean(axis=1)

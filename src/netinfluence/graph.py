@@ -60,6 +60,13 @@ def _id_array(ids, node_count: int) -> np.ndarray:
         return np.fromiter(clipped, dtype=np.int64, count=len(ids))
 
 
+def check_seed_ids(n: int, i: int, seeds) -> None:
+    """Raise ValueError at the first of player ``i``'s seed ids outside ``0 .. n - 1``."""
+    for v in seeds:
+        if not 0 <= v < n:
+            raise ValueError(f"player {i} seeds unknown node id {v}")
+
+
 def _repeats(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Mask of the edges whose (source, target) pair an earlier edge already has."""
     repeat = np.zeros(src.size, dtype=bool)
@@ -69,17 +76,24 @@ def _repeats(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _check_edges(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, ends) -> None:
+def _check_edges(
+    n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, ends, ids_checked: bool = False
+) -> None:
     """Raise ``_EdgeError`` for the first edge a graph rejects, naming its first failed check.
 
     The checks, in order: both node ids in range, no self-loop, a finite
     positive weight, no earlier edge with the same source and target.
-    ``ends(k)`` gives edge ``k``'s ids as written, for the message.
+    ``ids_checked`` keeps only the weight check, for ids that passed the
+    others already.  ``ends(k)`` gives edge ``k``'s ids as written, for the
+    message.
     """
-    unknown = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-    loop = src == dst
     bad_weight = ~((weight > 0) & (weight < math.inf))
-    bad = np.flatnonzero(unknown | loop | bad_weight | _repeats(src, dst))
+    if ids_checked:
+        unknown = loop = repeat = np.zeros_like(bad_weight)
+    else:
+        unknown = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        loop, repeat = src == dst, _repeats(src, dst)
+    bad = np.flatnonzero(unknown | loop | bad_weight | repeat)
     if not bad.size:
         return
     k = int(bad[0])
@@ -118,17 +132,18 @@ class Graph:
         edges = tuple(edges)
         us, vs, ws = zip(*edges, strict=True) if edges else ((), (), ())
         src, dst = _id_array(us, node_count), _id_array(vs, node_count)
-        self._fill(node_count, src, dst, np.array(ws, dtype=float), lambda k: edges[k][:2])
+        weight = np.array(ws, dtype=float)
+        _check_edges(node_count, src, dst, weight, lambda k: edges[k][:2])
+        self._fill(node_count, src, dst, weight)
 
     @classmethod
-    def _from_arrays(cls, node_count: int, src, dst, weight, ends) -> "Graph":
-        """A graph on arrays whose node count is already checked; see ``_check_edges``."""
+    def _from_arrays(cls, node_count: int, src, dst, weight) -> "Graph":
+        """A graph on arrays that passed ``_check_edges``, with a node count already checked."""
         g = cls.__new__(cls)
-        g._fill(node_count, src, dst, weight, ends)
+        g._fill(node_count, src, dst, weight)
         return g
 
-    def _fill(self, node_count, src, dst, weight, ends):
-        _check_edges(node_count, src, dst, weight, ends)
+    def _fill(self, node_count, src, dst, weight):
         for array_ in (src, dst, weight):
             array_.flags.writeable = False
         fingerprint = (node_count, src.tobytes(), dst.tobytes(), weight.tobytes())
@@ -320,13 +335,15 @@ def load_graph(source, normalize: bool = False) -> Graph:
         return int(us[k]), int(vs[k])
 
     try:
+        _check_edges(node_count, src, dst, weight, ends)
         if normalize:
-            _check_edges(node_count, src, dst, weight, ends)  # checks the raw weights
             # Sized by the largest target, so a huge header allocates nothing.
             weight = weight / _in_weight_sums(dst, weight)[dst]
-        return Graph._from_arrays(node_count, src, dst, weight, ends)
+            # Of the checks, only the weight's can newly fail: it may underflow to zero.
+            _check_edges(node_count, src, dst, weight, ends, ids_checked=True)
     except _EdgeError as exc:
         raise GraphFormatError(str(exc), edge_lines[exc.index]) from None
+    return Graph._from_arrays(node_count, src, dst, weight)
 
 
 def dump_graph(g: Graph) -> str:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from netinfluence import cli, dynamics, game
 from netinfluence import (
@@ -591,3 +593,82 @@ def test_reports_are_deterministic_apart_from_timing(capsys, two_cycle_file, two
     strip = lambda out: [l for l in out.splitlines() if not l.startswith("time_ms")]
     assert strip(first) == strip(second)
 
+
+
+# --- strategy-file parser properties ------------------------------------------
+
+FILLER = st.sampled_from(["", "   ", "\t", "# a comment", "  # player 0 seeds 1 1"])
+SPACE = st.sampled_from(["", " ", "\t", "  \t"])
+GAP = st.sampled_from([" ", "   ", "\t", " \t "])
+
+
+@st.composite
+def seed_documents(draw):
+    """A valid strategy document: its lines, the map it encodes, and each player's line index.
+
+    Filler lines are strings; a player line is ``(lead, tokens, gap, trail)``.
+    """
+    players = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
+    lines, expected, rows = [], {}, {}
+    for i in players:
+        lines += draw(st.lists(FILLER, max_size=2))
+        expected[i] = draw(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True))
+        rows[i] = len(lines)
+        tokens = ["player", str(i), "seeds", *map(str, expected[i])]
+        lines.append((draw(SPACE), tokens, draw(GAP), draw(SPACE)))
+    lines += draw(st.lists(FILLER, max_size=2))
+    return lines, expected, rows
+
+
+def render(lines) -> str:
+    return "\n".join(
+        line if isinstance(line, str) else line[0] + line[2].join(line[1]) + line[3]
+        for line in lines
+    )
+
+
+@given(seed_documents())
+def test_seed_parser_reads_generated_documents(doc):
+    lines, expected, _ = doc
+    assert cli._parse_seed_lines(render(lines)) == expected
+
+
+@given(
+    seed_documents(),
+    st.sampled_from(["duplicate player", "negative index", "repeated seed", "bad integer",
+                     "missing seeds"]),
+    st.data(),
+)
+def test_each_seed_line_mutation_is_an_error_on_its_line(doc, mutation, data):
+    lines, expected, rows = doc
+    players = list(expected)
+    if mutation == "duplicate player":
+        assume(len(players) > 1)
+        k = data.draw(st.integers(1, len(players) - 1))
+        player, new_index = players[k], str(data.draw(st.sampled_from(players[:k])))
+    else:
+        player = data.draw(st.sampled_from(players))
+    lead, tokens, gap, trail = lines[rows[player]]
+    tokens = list(tokens)
+    if mutation == "duplicate player":
+        tokens[1], message = new_index, f"duplicate line for player {new_index}"
+    elif mutation == "negative index":
+        tokens[1], message = str(-data.draw(st.integers(1, 99))), "negative player index"
+    elif mutation == "repeated seed":
+        tokens.append(data.draw(st.sampled_from(tokens[3:])))
+        message = "lists a seed node more than once"
+    elif mutation == "bad integer":
+        k = data.draw(st.sampled_from([1, *range(3, len(tokens))]))
+        tokens[k] = data.draw(st.sampled_from(["x", "1.5", "1e3", "0x1", "one"]))
+        message = "bad integer token"
+    else:
+        del tokens[2]
+        message = "expected 'player <i> seeds <id> <id> ...'"
+    lines = list(lines)
+    lines[rows[player]] = (lead, tokens, gap, trail)
+    with pytest.raises(cli.ProfileFormatError) as exc_info:
+        cli._parse_seed_lines(render(lines))
+    line_no = rows[player] + 1
+    assert exc_info.value.line == line_no
+    assert str(exc_info.value).startswith(f"line {line_no}: ")
+    assert message in str(exc_info.value)

@@ -189,6 +189,15 @@ def test_normalize_rejects_overflowing_weight_sum():
     assert exc_info.value.line == 3
 
 
+def test_normalize_rejects_a_weight_that_underflows_to_zero():
+    text = "nodes 3\nedge 0 1 5e-324\nedge 2 1 2\nedge 1 0 1\nedge 1 2 1\n"
+    load_graph(text)  # the raw weight is positive; over its sum of 2 it rounds to 0
+    with pytest.raises(GraphFormatError) as exc_info:
+        load_graph(text, normalize=True)
+    assert str(exc_info.value) == "line 2: edge (0, 1) has non-positive weight 0.0"
+    assert exc_info.value.line == 2
+
+
 def test_validate_flags_disconnected_components():
     # Two separate 2-cycles: stochastic but not strongly connected.
     text = "nodes 4\nedge 0 1 1.0\nedge 1 0 1.0\nedge 2 3 1.0\nedge 3 2 1.0\n"
