@@ -12,6 +12,7 @@ exactly when a payload was produced.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -56,44 +57,53 @@ def _ids(nodes) -> str:
 
 
 class Report:
-    """Collects parameter echoes and payload lines for one command run."""
+    """One command's report: starts the stopwatch, formats each line as it is added, ``emit`` writes it."""
 
-    def __init__(self, command: str):
-        self.command = command
-        self.params: list[tuple[str, str]] = []
-        self.payload: list[str] = []
+    def __init__(self, command: str, structured: bool):
+        self.started = time.perf_counter()
+        self.structured = structured
+        self.lines = [f"command {command}" if structured else f"netinfluence {command}"]
 
     def param(self, key: str, value):
-        self.params.append((key, str(value)))
+        self.lines.append(f"param {key} {value}" if self.structured else f"  {key}: {value}")
 
     def line(self, text: str):
-        self.payload.append(text)
+        self.lines.append(text)
 
-    def render(self, structured: bool, elapsed_ms: float) -> str:
-        out: list[str] = []
-        if structured:
-            out.append(f"command {self.command}")
-            out.extend(f"param {k} {v}" for k, v in self.params)
-            out.extend(self.payload)
-            out.append(f"time_ms {fmt(elapsed_ms)}")
-        else:
-            out.append(f"netinfluence {self.command}")
-            out.extend(f"  {k}: {v}" for k, v in self.params)
-            out.extend(self.payload)
-            out.append(f"elapsed {fmt(elapsed_ms)} ms")
-        return "\n".join(out) + "\n"
+    def emit(self) -> int:
+        elapsed_ms = fmt((time.perf_counter() - self.started) * 1000.0)
+        self.line(f"time_ms {elapsed_ms}" if self.structured else f"elapsed {elapsed_ms} ms")
+        _write("\n".join(self.lines) + "\n")
+        return 0
+
+
+def _write(text: str):
+    """Write to stdout; a failed write, such as to a full disk, is a one-line error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The unwritten text stays buffered; send it to /dev/null so the exit flush cannot fail too.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ValueError(f"cannot write report: {exc.strerror}") from None
+
+
+def _read(path: str, kind: str, parse, error: type[ValueError]):
+    """``parse`` of the open UTF-8 file; every failure is one ``error`` that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle)
+    except OSError as exc:
+        raise error(f"cannot read {kind} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {kind} file {path}: {exc}") from None
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def _read_graph(path: str, normalize: bool) -> Graph:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return load_graph(handle, normalize=normalize)
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read graph file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"cannot read graph file {path}: {exc}") from None
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+    return _read(path, "graph", lambda handle: load_graph(handle, normalize=normalize), GraphFormatError)
 
 
 def _parse_seed_lines(text: str) -> dict[int, list[int]]:
@@ -123,29 +133,15 @@ def _parse_seed_lines(text: str) -> dict[int, list[int]]:
     return found
 
 
-def _read_profile(path: str) -> StrategyProfile:
-    """Read a full profile: players 0..m-1 must each appear exactly once."""
-    lines = _read_seed_file(path)
-    expected = list(range(len(lines)))
-    if sorted(lines) != expected:
-        raise ProfileFormatError(
-            f"{path}: player indices {sorted(lines)} do not form 0..{len(lines) - 1}"
-        )
-    return StrategyProfile(lines[i] for i in expected)
-
-
-def _read_seed_file(path: str) -> dict[int, list[int]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ProfileFormatError(f"cannot read strategy file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ProfileFormatError(f"cannot read strategy file {path}: {exc}") from None
-    try:
-        return _parse_seed_lines(text)
-    except ProfileFormatError as exc:
-        raise ProfileFormatError(f"{path}: {exc}") from None
+def _read_players(path: str, skip: int | None = None) -> list[list[int]]:
+    """Seed sets in player order from a strategy file listing players 0..m-1 once each, bar ``skip``."""
+    found = _read(path, "strategy", lambda handle: _parse_seed_lines(handle.read()), ProfileFormatError)
+    m = len(found) + (skip is not None)
+    expected = [i for i in range(m) if i != skip]
+    if sorted(found) != expected:
+        minus = "" if skip is None else f" minus player {skip}"
+        raise ProfileFormatError(f"{path}: player indices {sorted(found)} do not form 0..{m - 1}{minus}")
+    return [found[i] for i in expected]
 
 
 def _budgets_arg(text: str) -> tuple[int, ...]:
@@ -153,8 +149,6 @@ def _budgets_arg(text: str) -> tuple[int, ...]:
         budgets = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad budget list {text!r}; expected e.g. 2,2") from None
-    if not budgets:
-        raise argparse.ArgumentTypeError("budget list is empty")
     return budgets
 
 
@@ -169,20 +163,13 @@ def _resolve_regime(args, report: Report) -> tuple[str, int]:
     return regime, args.horizon if args.horizon is not None else 1
 
 
-def _emit(report: Report, args, started: float) -> int:
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    sys.stdout.write(report.render(args.structured, elapsed_ms))
-    return 0
-
-
 def cmd_simulate(args) -> int:
-    started = time.perf_counter()
+    report = Report("simulate", args.structured)
     g = _read_graph(args.graph, args.normalize)
-    profile = _read_profile(args.strategies)
+    profile = StrategyProfile(_read_players(args.strategies))
     budgets = args.budgets or tuple(max(1, len(s)) for s in profile)
     cfg = GameConfig(g, budgets, horizon=args.horizon, alpha=args.alpha, epsilon=args.epsilon)
 
-    report = Report("simulate")
     report.param("graph", args.graph)
     report.param("strategies", args.strategies)
     report.param("nodes", g.node_count)
@@ -213,15 +200,14 @@ def cmd_simulate(args) -> int:
     for i, p in enumerate(payoffs):
         report.line(f"payoff {i} {fmt(p)}")
     report.line(f"payoff_sum {fmt(payoffs.sum())}")
-    return _emit(report, args, started)
+    return report.emit()
 
 
 def cmd_centrality(args) -> int:
-    started = time.perf_counter()
+    report = Report("centrality", args.structured)
     g = _read_graph(args.graph, args.normalize)
     gamma = influence_matrix(g, args.alpha)
 
-    report = Report("centrality")
     report.param("graph", args.graph)
     report.param("nodes", g.node_count)
     report.param("alpha", fmt(args.alpha))
@@ -240,29 +226,18 @@ def cmd_centrality(args) -> int:
         for v in range(g.node_count):
             column = table[:, v] if isinstance(table, np.ndarray) else table[:, [v]].toarray().ravel()
             report.line(f"influence {v} " + " ".join(fmt(x) for x in column))
-    return _emit(report, args, started)
+    return report.emit()
 
 
 def cmd_best_response(args) -> int:
-    started = time.perf_counter()
+    report = Report("best-response", args.structured)
     if not args.exact and not args.greedy:
         raise ValueError("nothing to do: pass --exact, --greedy, or both")
     g = _read_graph(args.graph, args.normalize)
-    opponents = _read_seed_file(args.opponents)
-    m = len(opponents) + 1
-    expected = [j for j in range(m) if j != args.player]
-    if sorted(opponents) != expected:
-        raise ProfileFormatError(
-            f"{args.opponents}: opponent indices {sorted(opponents)} do not cover "
-            f"players 0..{m - 1} minus player {args.player}"
-        )
-    others = [opponents[j] for j in expected]
-    budgets = [0] * m
-    budgets[args.player] = args.budget
-    for j, s in zip(expected, others):
-        budgets[j] = max(1, len(s))
+    others = _read_players(args.opponents, skip=args.player)
+    budgets = [max(1, len(s)) for s in others]
+    budgets.insert(args.player, args.budget)
 
-    report = Report("best-response")
     report.param("graph", args.graph)
     report.param("opponents", args.opponents)
     report.param("player", args.player)
@@ -277,23 +252,20 @@ def cmd_best_response(args) -> int:
         results["exact"] = exact_best_response(cfg, args.player, others, regime=regime)
     if args.greedy:
         results["greedy"] = greedy_best_response(cfg, args.player, others, regime=regime)
-    for method in ("exact", "greedy"):
-        if method in results:
-            br = results[method]
-            report.line(f"method {method}")
-            report.line(f"strategy {_ids(br.strategy)}")
-            report.line(f"payoff {fmt(br.payoff)}")
-            report.line(f"evaluations {br.evaluations}")
-    if "exact" in results and "greedy" in results:
+    for method, br in results.items():
+        report.line(f"method {method}")
+        report.line(f"strategy {_ids(br.strategy)}")
+        report.line(f"payoff {fmt(br.payoff)}")
+        report.line(f"evaluations {br.evaluations}")
+    if len(results) == 2:
         report.line(f"ratio {fmt(results['greedy'].payoff / results['exact'].payoff)}")
-    return _emit(report, args, started)
+    return report.emit()
 
 
 def cmd_nash(args) -> int:
-    started = time.perf_counter()
+    report = Report("nash", args.structured)
     g = _read_graph(args.graph, args.normalize)
 
-    report = Report("nash")
     report.param("graph", args.graph)
     report.param("nodes", g.node_count)
     report.param("budgets", ",".join(str(b) for b in args.budgets))
@@ -304,10 +276,7 @@ def cmd_nash(args) -> int:
     report.param("mode", "dynamics" if args.dynamics else "exhaustive")
 
     if args.dynamics:
-        if args.initial:
-            profile = _read_profile(args.initial)
-        else:
-            profile = _default_profile(cfg)
+        profile = StrategyProfile(_read_players(args.initial)) if args.initial else _default_profile(cfg)
         report.param("max_rounds", args.max_rounds)
         report.param("responder", "greedy" if args.greedy else "exact")
         outcome = best_response_dynamics(
@@ -329,7 +298,7 @@ def cmd_nash(args) -> int:
         for k, profile in enumerate(equilibria):
             for i, s in enumerate(profile):
                 report.line(f"equilibrium {k} {i} {_ids(s)}")
-    return _emit(report, args, started)
+    return report.emit()
 
 
 def _default_profile(cfg: GameConfig) -> StrategyProfile:
@@ -344,53 +313,30 @@ def _default_profile(cfg: GameConfig) -> StrategyProfile:
 
 
 def cmd_generate(args) -> int:
-    started = time.perf_counter()
-    report = Report("generate")
+    report = Report("generate", args.structured)
     if args.counterexample:
         m, b = args.counterexample
         g = build_counterexample(m, b)
-        header = [
-            "# generated by netinfluence",
-            "# mode counterexample",
-            f"# players {m}",
-            f"# budget {b}",
-        ]
-        report.param("mode", "counterexample")
-        report.param("players", m)
-        report.param("budget", b)
+        header = {"mode": "counterexample", "players": m, "budget": b}
     else:
         n, d, seed = args.random
         g = random_graph(n, d, seed)
-        header = [
-            "# generated by netinfluence",
-            "# mode random",
-            f"# nodes {n}",
-            f"# out_degree {d}",
-            f"# seed {seed}",
-        ]
-        report.param("mode", "random")
-        report.param("out_degree", d)
-        report.param("seed", seed)
-    document = "\n".join(header) + "\n" + dump_graph(g)
-
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(document)
-        except OSError as exc:
-            raise ValueError(f"cannot write graph file {args.output}: {exc.strerror}") from None
-        report.param("nodes", g.node_count)
-        report.param("edges", g.src.size)
-        report.line(f"written {args.output}")
-        return _emit(report, args, started)
-    sys.stdout.write(document)
-    return 0
-
-
-def _add_common(parser, graph_input: bool = True):
-    parser.add_argument("--structured", action="store_true", help="machine-oriented report layout")
-    if graph_input:
-        parser.add_argument("--normalize", action="store_true", help="rescale incoming weights to sum to one on load")
+        header = {"mode": "random", "nodes": n, "out_degree": d, "seed": seed}
+    comments = "".join(f"# {key} {value}\n" for key, value in header.items())
+    document = "# generated by netinfluence\n" + comments + dump_graph(g)
+    if not args.output:
+        _write(document)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(document)
+    except OSError as exc:
+        raise ValueError(f"cannot write graph file {args.output}: {exc.strerror}") from None
+    header.pop("nodes", None)  # the report echoes the node count after the generator's parameters
+    for key, value in {**header, "nodes": g.node_count, "edges": g.src.size}.items():
+        report.param(key, value)
+    report.line(f"written {args.output}")
+    return report.emit()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -401,59 +347,53 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"netinfluence {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("simulate", help="seed opinions, run the averaging dynamic, report payoffs")
-    p.add_argument("--graph", required=True, help="edge-list graph file")
+    # Flags shared by several subcommands, each declared once; each parent extends the one before.
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument("--structured", action="store_true", help="machine-oriented report layout")
+    graph = argparse.ArgumentParser(add_help=False, parents=[layout])
+    graph.add_argument("--graph", required=True, help="edge-list graph file")
+    graph.add_argument("--alpha", type=float, default=0.5, help="neighbor blending weight (default 0.5)")
+    graph.add_argument("--normalize", action="store_true", help="rescale incoming weights to sum to one on load")
+    game = argparse.ArgumentParser(add_help=False, parents=[graph])
+    game.add_argument("--epsilon", type=float, default=1e-6, help="background opinion for unseeded nodes")
+    regime = argparse.ArgumentParser(add_help=False, parents=[game])
+    regime.add_argument("--horizon", type=int, default=None, help="number of averaging steps")
+    regime.add_argument("--consensus", action="store_true", help="stationary-regime payoffs instead of a horizon")
+
+    p = sub.add_parser("simulate", parents=[game], help="seed opinions, run the averaging dynamic, report payoffs")
     p.add_argument("--strategies", required=True, help="strategy profile file")
     p.add_argument("--horizon", type=int, required=True, help="number of averaging steps")
-    p.add_argument("--alpha", type=float, default=0.5, help="neighbor blending weight (default 0.5)")
-    p.add_argument("--epsilon", type=float, default=1e-6, help="background opinion for unseeded nodes")
     p.add_argument("--budgets", type=_budgets_arg, default=None, help="declared budgets, e.g. 2,2")
     p.add_argument("--state", action="store_true", help="also print the final opinion matrix and consensus verdict")
     p.add_argument("--trace", action="store_true", help="also print one opinion snapshot per step")
     p.add_argument("--consensus-tol", type=float, default=1e-8, help="spread tolerance for the consensus verdict")
-    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("centrality", help="influence table at a horizon, or stationary weights")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p = sub.add_parser("centrality", parents=[graph], help="influence table at a horizon, or stationary weights")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--horizon", type=int, help="emit the influence table after this many steps")
     group.add_argument("--eigen", action="store_true", help="emit the stationary weights instead")
-    _add_common(p)
     p.set_defaults(func=cmd_centrality)
 
-    p = sub.add_parser("best-response", help="one player's best seed set against fixed opponents")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("best-response", parents=[regime], help="one player's best seed set against fixed opponents")
     p.add_argument("--player", type=int, required=True, help="responding player index")
     p.add_argument("--opponents", required=True, help="seed file for the other players")
     p.add_argument("--budget", type=int, required=True, help="responding player's budget")
     p.add_argument("--exact", action="store_true", help="exhaustive search over full-budget sets")
     p.add_argument("--greedy", action="store_true", help="greedy marginal-gain search")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--consensus", action="store_true", help="stationary-regime payoffs instead of a horizon")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    _add_common(p)
     p.set_defaults(func=cmd_best_response)
 
-    p = sub.add_parser("nash", help="equilibrium search: improvement dynamics or exhaustive check")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("nash", parents=[regime], help="equilibrium search: improvement dynamics or exhaustive check")
     p.add_argument("--budgets", type=_budgets_arg, required=True, help="per-player budgets, e.g. 2,2")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--dynamics", action="store_true", help="round-robin best-response play")
     group.add_argument("--exhaustive", action="store_true", help="enumerate all full-budget profiles")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--consensus", action="store_true", help="stationary-regime payoffs instead of a horizon")
     p.add_argument("--initial", default=None, help="starting profile file for --dynamics")
     p.add_argument("--max-rounds", type=int, default=100)
     p.add_argument("--greedy", action="store_true", help="greedy responders in --dynamics")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    _add_common(p)
     p.set_defaults(func=cmd_nash)
 
-    p = sub.add_parser("generate", help="write a graph in the edge-list format")
+    p = sub.add_parser("generate", parents=[layout], help="write a graph in the edge-list format")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--counterexample",
@@ -470,15 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="random strongly connected graph: N nodes, out-degree D",
     )
     p.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_common(p, graph_input=False)
     p.set_defaults(func=cmd_generate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, ProfileFormatError, ValueError, RuntimeError) as exc:
@@ -487,7 +425,3 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -131,25 +131,25 @@ def as_profile(profile) -> StrategyProfile:
     return StrategyProfile(profile)
 
 
-def check_seed_set(cfg: GameConfig, i: int, s, require_nonempty: bool = True):
+def check_seed_set(cfg: GameConfig, i: int, s):
     """Validate player ``i``'s seed set against a configuration.
 
     Raises ValueError on an empty seed set (payoffs are defined for seeded
     players only), a busted budget, or an unknown node id.
     """
-    if require_nonempty and not s:
+    if not s:
         raise ValueError(f"player {i} has an empty seed set")
     if len(s) > cfg.budgets[i]:
         raise ValueError(f"player {i} seeds {len(s)} nodes, over their budget {cfg.budgets[i]}")
     check_seed_ids(cfg.n, i, s)
 
 
-def check_profile(cfg: GameConfig, profile: StrategyProfile, require_nonempty: bool = True):
+def check_profile(cfg: GameConfig, profile: StrategyProfile):
     """Validate a profile's player count, then each seed set via ``check_seed_set``."""
     if len(profile) != cfg.m:
         raise ValueError(f"profile has {len(profile)} players but the game has {cfg.m}")
     for i, s in enumerate(profile):
-        check_seed_set(cfg, i, s, require_nonempty)
+        check_seed_set(cfg, i, s)
 
 
 def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int], ...]:
@@ -164,13 +164,9 @@ def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int],
     return others
 
 
-@lru_cache(maxsize=64)
-def _mixing_matrix(graph: Graph, alpha: float):
-    return influence_matrix(graph, alpha)
-
-
 def _table_bytes(table) -> int:
-    """Memory held by a dense table or by a compressed sparse table's three arrays."""
+    """Memory held by a dense table, a compressed sparse table's three arrays, or an operator's entries."""
+    table = getattr(table, "entries", table)
     if isinstance(table, np.ndarray):
         return table.nbytes
     return table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
@@ -186,31 +182,45 @@ def _cache_by_bytes(max_bytes: int):
 
     def decorate(build):
         tables: OrderedDict = OrderedDict()
+        held = 0  # bytes of the tables in ``tables``, kept so a miss costs O(1), not O(entries)
 
         @wraps(build)
         def cached(*key):
+            nonlocal held
             table = tables.get(key)
             if table is None:
                 table = tables[key] = build(*key)
-                while len(tables) > 1 and sum(map(_table_bytes, tables.values())) > max_bytes:
-                    tables.popitem(last=False)
+                held += _table_bytes(table)
+                while len(tables) > 1 and held > max_bytes:
+                    held -= _table_bytes(tables.popitem(last=False)[1])
             else:
                 tables.move_to_end(key)
             return table
 
-        cached.cache_clear = tables.clear
+        def cache_clear():
+            nonlocal held
+            tables.clear()
+            held = 0
+
+        cached.cache_clear = cache_clear
         return cached
 
     return decorate
 
 
-# Holds three dense tables at 3000 nodes, eight at the sparse-operator threshold.
+# Each cache holds 256 MiB: three dense horizon tables at 3000 nodes, or eight dense
+# operators or tables at the sparse-operator threshold.
+@_cache_by_bytes(1 << 28)
+def _mixing_matrix(graph: Graph, alpha: float):
+    return influence_matrix(graph, alpha)
+
+
 @_cache_by_bytes(1 << 28)
 def _horizon_table(graph: Graph, alpha: float, horizon: int) -> np.ndarray | _sparse.csc_matrix:
     return diffusion_centrality_matrix(_mixing_matrix(graph, alpha), horizon)
 
 
-@lru_cache(maxsize=64)
+@_cache_by_bytes(1 << 28)
 def _consensus_table(graph: Graph, alpha: float) -> np.ndarray:
     return eigenvector_weights(_mixing_matrix(graph, alpha)).weights[None, :]
 
@@ -246,8 +256,8 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
     ``table @ x`` is target ``r``'s final opinion toward each player, and the
     payoff is the mean over targets of each player's share of that row.  For
     the horizon table this is exactly ``evolve`` of ``x``.  Empty seed sets
-    are tolerated here, which the greedy solver relies on; the public payoff
-    routes reject them up front.
+    are tolerated here, which ``marginal_gain`` relies on to score the first
+    node added; the public payoff routes reject them up front.
     """
     return _shares(table @ seeded_opinions(table.shape[1], seed_sets, epsilon))
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -553,6 +556,48 @@ def test_huge_inputs_are_one_line_errors_under_a_memory_cap(tmp_path, text, argv
     assert lines[0].startswith("error:") and message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["simulate", "--horizon", "1", "--strategies"], "player 0 seeds 0\nplayer 2 seeds 1\n"),
+        (["nash", "--budgets", "1,1", "--dynamics", "--horizon", "1", "--initial"], "player 1 seeds 0\n"),
+        (["best-response", "--player", "1", "--budget", "1", "--exact", "--horizon", "1", "--opponents"],
+         "player 0 seeds 0\nplayer 1 seeds 1\n"),
+    ],
+    ids=["profile-gap", "initial-missing-player", "opponents-list-responder"],
+)
+def test_player_indices_outside_the_game_are_a_one_line_error(
+    capsys, tmp_path, two_cycle_file, argv, document
+):
+    players = tmp_path / "players.txt"
+    players.write_text(document)
+    code, out, err = run_cli(capsys, argv + [str(players), "--graph", two_cycle_file])
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {players}: player indices ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [["centrality", "--eigen", "--graph"], ["generate", "--random", "2000", "3", "1"]],
+    ids=["report", "generated-graph"],
+)
+def test_failed_stdout_write_is_a_one_line_error(two_cycle_file, argv):
+    if argv[-1] == "--graph":
+        argv = argv + [two_cycle_file]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "netinfluence", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: cannot write report: ")
+
+
 def test_malformed_strategy_reports_line_number(capsys, two_cycle_file, tmp_path):
     bad = tmp_path / "bad_seeds.txt"
     bad.write_text("player 0 seeds 0\nplayer one seeds 1\n")
@@ -583,6 +628,94 @@ def test_normalize_flag_fixes_unscaled_weights(capsys, tmp_path):
     assert code == 0
     weights = {int(r.split()[0]): float(r.split()[1]) for r in field(out, "weight")}
     assert abs(weights[0] - 0.5) < 1e-9
+
+
+# --- flags against their parsers ---------------------------------------------
+
+SHARED = {"--structured": (False, False), "--graph": (None, True), "--alpha": (0.5, False),
+          "--normalize": (False, False)}
+GAME = {**SHARED, "--epsilon": (1e-6, False)}
+REGIME = {**GAME, "--horizon": (None, False), "--consensus": (False, False)}
+# Every subcommand's options as option -> (default, required), and its mutually
+# exclusive groups as (required, options).  A change here is a change of interface.
+FLAGS = {
+    "simulate": (
+        {**GAME, "--strategies": (None, True), "--horizon": (None, True), "--budgets": (None, False),
+         "--state": (False, False), "--trace": (False, False), "--consensus-tol": (1e-8, False)},
+        [],
+    ),
+    "centrality": (
+        {**SHARED, "--horizon": (None, False), "--eigen": (False, False)},
+        [(True, ("--horizon", "--eigen"))],
+    ),
+    "best-response": (
+        {**REGIME, "--player": (None, True), "--opponents": (None, True), "--budget": (None, True),
+         "--exact": (False, False), "--greedy": (False, False)},
+        [],
+    ),
+    "nash": (
+        {**REGIME, "--budgets": (None, True), "--dynamics": (False, False), "--exhaustive": (False, False),
+         "--initial": (None, False), "--max-rounds": (100, False), "--greedy": (False, False)},
+        [(True, ("--dynamics", "--exhaustive"))],
+    ),
+    "generate": (
+        {"--structured": (False, False), "--counterexample": (None, False), "--random": (None, False),
+         "--output": (None, False)},
+        [(True, ("--counterexample", "--random"))],
+    ),
+}
+
+
+def test_every_subcommand_keeps_its_flags_defaults_and_groups():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(FLAGS)
+    for name, sub in subparsers.choices.items():
+        options, groups = FLAGS[name]
+        found = {
+            " ".join(a.option_strings): (a.default, a.required) for a in sub._actions if a.dest != "help"
+        }
+        assert found == options, name
+        found_groups = [
+            (g.required, tuple(a.option_strings[0] for a in g._group_actions))
+            for g in sub._mutually_exclusive_groups
+        ]
+        assert found_groups == groups, name
+
+
+@pytest.fixture(scope="module")
+def echo_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("echo")
+    (folder / "g.graph").write_text(TWO_CYCLE_TEXT)
+    (folder / "profile.txt").write_text("player 0 seeds 0\nplayer 1 seeds 1\n")
+    (folder / "opponents.txt").write_text("player 0 seeds 0\n")
+    return folder
+
+
+ECHO_COMMANDS = {
+    "simulate": ["simulate", "--horizon", "1", "--strategies", "profile.txt"],
+    "best-response": ["best-response", "--player", "1", "--budget", "1", "--exact", "--horizon", "1",
+                      "--opponents", "opponents.txt"],
+    "nash": ["nash", "--budgets", "1,1", "--exhaustive", "--horizon", "1"],
+}
+
+
+@given(
+    st.sampled_from(list(ECHO_COMMANDS)),
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+    st.floats(0, 0.25, exclude_min=True, exclude_max=True),
+)
+def test_alpha_and_epsilon_are_echoed_in_both_layouts(echo_files, command, alpha, epsilon):
+    argv = [a if not a.endswith(".txt") else str(echo_files / a) for a in ECHO_COMMANDS[command]]
+    argv += ["--graph", str(echo_files / "g.graph"), "--alpha", repr(alpha), "--epsilon", repr(epsilon)]
+    for layout, alpha_line, epsilon_line in [
+        (["--structured"], f"param alpha {cli.fmt(alpha)}", f"param epsilon {cli.fmt(epsilon)}"),
+        ([], f"  alpha: {cli.fmt(alpha)}", f"  epsilon: {cli.fmt(epsilon)}"),
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + layout) == 0
+        lines = out.getvalue().splitlines()
+        assert alpha_line in lines and epsilon_line in lines
 
 
 def test_reports_are_deterministic_apart_from_timing(capsys, two_cycle_file, two_cycle_seeds):

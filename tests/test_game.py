@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
@@ -14,6 +16,7 @@ from netinfluence import (
     build_counterexample,
     check_profile,
     consensus_utility,
+    influence_matrix,
     load_graph,
     marginal_gain,
     payoff_table,
@@ -22,7 +25,8 @@ from netinfluence import (
     utility,
     utility_closed_form,
 )
-from netinfluence.game import _cache_by_bytes
+from netinfluence import dynamics
+from netinfluence.game import _cache_by_bytes, _table_bytes
 from oracles import payoffs_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -101,7 +105,6 @@ def test_check_profile_enforces_budget_and_nodes():
         check_profile(cfg, as_profile([{0}, {1}, {0}]))
     with pytest.raises(ValueError, match="empty"):
         check_profile(cfg, as_profile([{0}, set()]))
-    check_profile(cfg, as_profile([{0}, set()]), require_nonempty=False)
 
 
 # --- simulated utility -------------------------------------------------------
@@ -297,6 +300,10 @@ def test_table_cache_evicts_least_recently_used_bytes_first():
     table.cache_clear()
     table("a", 100)
     assert built[-1] == "a" and len(built) == 8
+    table("b", 100)
+    table("c", 100)
+    table("a", 100)  # 2400 bytes counted since the clear, within the bound: still cached
+    assert len(built) == 10
 
     @_cache_by_bytes(2000)
     def identity(n):
@@ -305,6 +312,19 @@ def test_table_cache_evicts_least_recently_used_bytes_first():
     first = identity(100)
     identity(10)
     assert identity(100) is first
+
+
+@pytest.mark.parametrize("threshold", [dynamics.SPARSE_NODE_THRESHOLD, 1], ids=["dense", "csr"])
+def test_cached_operator_counts_the_bytes_of_its_entries(threshold):
+    g = random_graph(30, 3, seed=1)
+    with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", threshold):
+        gamma = influence_matrix(g, 0.5)
+    if threshold == 1:
+        # 30 diagonal and 90 edge entries: float64 values, int32 column indices, 31 row pointers.
+        assert gamma.entries.format == "csr" and gamma.entries.nnz == 120
+        assert _table_bytes(gamma) == 120 * 8 + 120 * 4 + 31 * 4
+    else:
+        assert _table_bytes(gamma) == 30 * 30 * 8
 
 
 def test_horizon_table_shape_and_consensus_table_shape():
