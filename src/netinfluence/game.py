@@ -267,6 +267,18 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
 _CHUNK_BYTES = 1 << 17
 
 
+def _response_terms(table: np.ndarray, others, epsilon: float):
+    """Per-row ``own_base, total_base`` and per-node ``own_gain, total_gain``; see ``_candidate_payoffs``."""
+    counts = np.zeros(table.shape[1])
+    for s in others:
+        counts[list(s)] += 1.0
+    free = (counts == 0).astype(float)
+    m = len(others) + 1
+    z, p = table @ free, table @ (1.0 - free)
+    own_gain, total_gain = 1.0 / (counts + 1.0) - epsilon * free, free * (1.0 - m * epsilon)
+    return epsilon * z, p + m * epsilon * z, own_gain, total_gain
+
+
 def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
     """Closed-form payoffs of many candidate seed sets for one player, chunk by chunk.
 
@@ -282,14 +294,7 @@ def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
     ``eps Z + sum_{v in A} T[r, v] (1 / (c_v + 1) - eps [c_v = 0])`` and the
     row's total opinion is ``P + m eps Z + sum_{v in A} T[r, v] [c_v = 0] (1 - m eps)``.
     """
-    counts = np.zeros(table.shape[1])
-    for s in others:
-        counts[list(s)] += 1.0
-    free = (counts == 0).astype(float)
-    m = len(others) + 1
-    z, p = table @ free, table @ (1.0 - free)
-    own_base, total_base = epsilon * z, p + m * epsilon * z
-    own_gain, total_gain = 1.0 / (counts + 1.0) - epsilon * free, free * (1.0 - m * epsilon)
+    own_base, total_base, own_gain, total_gain = _response_terms(table, others, epsilon)
     candidates = iter(candidates)
     first = next(candidates, None)
     if first is None:

@@ -358,6 +358,15 @@ def dump_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _generated(n: int, src: np.ndarray, dst: np.ndarray, raw: np.ndarray) -> Graph:
+    """A generated graph: edges sorted by (source, target), raw weights scaled to unit incoming sums."""
+    order = np.lexsort((dst, src))
+    src, dst, raw = src[order], dst[order], raw[order]
+    weight = raw / np.bincount(dst, weights=raw, minlength=n)[dst]
+    _check_edges(n, src, dst, weight, lambda k: (int(src[k]), int(dst[k])))
+    return Graph._from_arrays(n, src, dst, weight)
+
+
 def build_counterexample(m: int, b: int) -> Graph:
     """Ring-with-petals graph on which short-horizon seeding games never settle.
 
@@ -383,23 +392,11 @@ def build_counterexample(m: int, b: int) -> Graph:
     if b < 1:
         raise ValueError("construction needs budget at least one")
     mu = m * (b + 1) + 1
-    n = 3 * mu
-
-    pairs: list[tuple[int, int]] = []
-    for i in range(mu):
-        for k in range(1, b + 1):
-            pairs.append((i, (i + k) % mu))
-    for i in range(mu):
-        left, right = mu + 2 * i, mu + 2 * i + 1
-        pairs.extend([(i, left), (i, right), (left, right), (right, i)])
-
-    in_degree = np.zeros(n, dtype=int)
-    for _, v in pairs:
-        in_degree[v] += 1
-    edges = tuple(
-        (u, v, 1.0 / int(in_degree[v])) for u, v in sorted(pairs)
-    )
-    return Graph(n, edges)
+    ring = np.arange(mu, dtype=np.int64)
+    left, chord = mu + 2 * ring, np.repeat(ring, b)
+    src = np.concatenate([chord, ring, ring, left, left + 1])
+    dst = np.concatenate([(chord + np.tile(np.arange(1, b + 1), mu)) % mu, left, left + 1, left + 1, ring])
+    return _generated(3 * mu, src, dst, np.ones(src.size))
 
 
 def random_graph(n: int, out_degree: int, seed: int) -> Graph:
@@ -421,29 +418,14 @@ def random_graph(n: int, out_degree: int, seed: int) -> Graph:
     if not 1 <= out_degree < n:
         raise ValueError("out_degree must lie in [1, n - 1]")
     rng = np.random.default_rng(seed)
-
     order = rng.permutation(n)
-    targets: list[set[int]] = [set() for _ in range(n)]
-    for k in range(n):
-        targets[order[k]].add(int(order[(k + 1) % n]))
-    for u in range(n):
-        missing = out_degree - len(targets[u])
-        if missing > 0:
-            # Draw positions among the allowed ids; the k-th excluded id has k
-            # fewer allowed ids below it, which locates each position's id.
-            excluded = sorted(targets[u] | {u})
-            picked = rng.choice(n - len(excluded), size=missing, replace=False)
-            below = np.array(excluded) - np.arange(len(excluded))
-            targets[u].update((picked + np.searchsorted(below, picked, side="right")).tolist())
-
-    raw = {}
-    for u in range(n):
-        for v in sorted(targets[u]):
-            raw[(u, v)] = rng.uniform(0.5, 1.5)
-    sums = np.zeros(n)
-    for (_, v), w in raw.items():
-        sums[v] += w
-    edges = tuple(
-        (u, v, float(w / sums[v])) for (u, v), w in sorted(raw.items())
-    )
-    return Graph(n, edges)
+    succ = np.empty(n, dtype=np.int64)
+    succ[order] = np.roll(order, -1)
+    # Extra targets: positions among the ids other than the node and its ring
+    # successor, drawn node by node, then shifted past those two ids.
+    picked = np.stack([rng.choice(n - 2, size=out_degree - 1, replace=False) for _ in range(n)])
+    for end in np.sort([np.arange(n), succ], axis=0):
+        picked += picked >= end[:, None]
+    dst = np.sort(np.column_stack([succ, picked]), axis=1).ravel()
+    src = np.repeat(np.arange(n, dtype=np.int64), out_degree)
+    return _generated(n, src, dst, rng.uniform(0.5, 1.5, dst.size))

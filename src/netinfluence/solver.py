@@ -7,10 +7,10 @@ seed sets (lowest node id for the greedy scan).
 
 One batched scorer rates candidate seed sets: ``game._candidate_payoffs``
 streams them in fixed-size chunks and scores a whole chunk against fixed
-opponents with a few array operations.  The exact and greedy scans, the
-construction step of ``consensus_equilibrium`` and ``exhaustive_nash_check``
-all go through it; a best response's reported payoff is its winner's
-``table_payoffs`` value.
+opponents with a few array operations.  The horizon-regime exact scan, the
+greedy scan and ``exhaustive_nash_check`` go through it; consensus exact best
+responses sort node scores built from the same terms (``_consensus_best``).
+A best response's reported payoff is its winner's ``table_payoffs`` value.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .game import (
     GameConfig,
     StrategyProfile,
     _candidate_payoffs,
+    _response_terms,
     as_profile,
     assemble_profile,
     check_opponents,
@@ -101,16 +102,40 @@ def _scan_best(table, i, others, epsilon, candidates):
     return best_pay, best, total
 
 
-def _full_budget_sets(cfg: GameConfig, p: int, cap: int):
-    """Player ``p``'s full-budget seed sets in lexicographic order, at most ``cap`` of them."""
-    b = min(cfg.budgets[p], cfg.n)
-    total = math.comb(cfg.n, b)
-    if total > cap:
-        raise EnumerationCapError(
-            f"player {p} has {total} candidate seed sets, over the cap of {cap}; "
-            "use greedy_best_response or raise the cap"
-        )
-    return itertools.combinations(range(cfg.n), b)
+def _consensus_best(table, i, others, epsilon, b):
+    """``_scan_best`` over player ``i``'s ``b``-sets on the one-row consensus ``table``, by sorting.
+
+    Set ``A`` pays ``(N + sum_A a_v) / (D + sum_A d_v)`` in ``_response_terms``.
+    A held node has ``d_v = 0`` and a free one ``a_v = rho d_v``, with
+    ``rho = (1 - eps) / (1 - m eps) > 1``; a share never exceeds one, so free
+    weight always pays.  So an optimum is the ``k`` heaviest free nodes plus the
+    ``b - k`` held ones of largest ``a_v``, for some ``k``.  A set pays at least
+    ``lam``, the optimum less ``IMPROVEMENT_TOL``, iff ``sum_A (a_v - lam d_v) >=
+    lam D - N``; fixing ids in increasing order then yields the lexicographically
+    smallest such set.  ``n`` node scores are counted.
+    """
+    own_base, total_base, own_gain, total_gain = _response_terms(table, others, epsilon)
+    a, d = table[0] * own_gain, table[0] * total_gain
+    held = total_gain == 0
+    top = (np.concatenate(([0.0], np.cumsum(np.sort(x)[::-1]))) for x in (a[~held], d[~held], a[held]))
+    free_a, free_d, held_a = top
+    k = np.arange(max(0, b - int(held.sum())), min(b, len(free_a) - 1) + 1)
+    pays = (own_base[0] + free_a[k] + held_a[b - k]) / (total_base[0] + free_d[k])
+    lam = pays.max() - IMPROVEMENT_TOL
+    score, bound = a - lam * d, lam * total_base[0] - own_base[0]
+    # tops[r][u]: the largest sum of r scores of ids u.., or -inf when fewer than r remain.
+    tops = [np.zeros(len(score) + 1)]
+    for _ in range(b - 1):
+        lead = score + tops[-1][1:]
+        tops.append(np.append(np.maximum.accumulate(lead[::-1])[::-1], -np.inf))
+    chosen, reached, start = [], 0.0, 0
+    for r in range(b - 1, -1, -1):
+        lead = reached + score[start:] + tops[r][start + 1 :]
+        u = start + int(np.argmax(lead >= min(bound, lead.max())))  # rounding never strands it
+        chosen.append(u)
+        reached, start = reached + score[u], u + 1
+    payoff = table_payoffs(table, assemble_profile(i, chosen, others), epsilon)[i]
+    return payoff, tuple(chosen), len(score)
 
 
 def exact_best_response(
@@ -120,11 +145,13 @@ def exact_best_response(
     regime: str = "horizon",
     cap: int = EXACT_ENUMERATION_CAP,
 ) -> BestResponse:
-    """Exhaustive best response for player ``i`` against fixed opponents.
+    """Exact best response for player ``i`` against fixed opponents.
 
-    Enumerates every full-budget seed set — payoffs are monotone in the seed
-    set, so smaller sets never win strictly — and returns the maximizer,
-    breaking ties toward the lexicographically smallest node tuple.
+    Payoffs are monotone in the seed set, so smaller sets never win strictly:
+    the answer is the full-budget set of largest payoff, ties going to the
+    lexicographically smallest node tuple.  In the horizon regime every
+    full-budget set is scored; at consensus ``_consensus_best`` finds it from
+    ``n`` node scores, which is what ``evaluations`` then counts.
 
     Args:
         cfg: game configuration.
@@ -132,15 +159,24 @@ def exact_best_response(
         s_minus_i: the other players' seed sets in player order, ``i`` skipped.
         regime: ``"horizon"`` for finite-horizon payoffs, ``"consensus"`` for
             the stationary regime.
-        cap: refuse to enumerate more candidate sets than this.
+        cap: in the horizon regime, refuse to enumerate more candidate sets than this.
 
     Raises:
-        EnumerationCapError: when ``comb(n, budget)`` exceeds ``cap``.
+        EnumerationCapError: in the horizon regime, when ``comb(n, budget)`` exceeds ``cap``.
     """
     others = check_opponents(cfg, i, s_minus_i)
-    candidates = _full_budget_sets(cfg, i, cap)
-    table = payoff_table(cfg, regime)
-    payoff, best, evaluations = _scan_best(table, i, others, cfg.epsilon, candidates)
+    b = min(cfg.budgets[i], cfg.n)
+    if regime == "consensus":
+        found = _consensus_best(payoff_table(cfg, regime), i, others, cfg.epsilon, b)
+    elif math.comb(cfg.n, b) > cap:
+        raise EnumerationCapError(
+            f"player {i} has {math.comb(cfg.n, b)} candidate seed sets, over the cap of {cap}; "
+            "use greedy_best_response or raise the cap"
+        )
+    else:
+        candidates = itertools.combinations(range(cfg.n), b)
+        found = _scan_best(payoff_table(cfg, regime), i, others, cfg.epsilon, candidates)
+    payoff, best, evaluations = found
     return BestResponse(frozenset(best), payoff, evaluations)
 
 
@@ -275,68 +311,45 @@ def exhaustive_nash_check(
 
 @dataclass(frozen=True, eq=False)
 class ConsensusEquilibrium:
-    """A stationary-regime equilibrium with its payoffs.
-
-    ``verified`` is True when best-response play ran from the constructed
-    profile and ended in an equilibrium; on instances too large to check, the
-    constructed profile is returned unverified.
-    """
+    """A stationary-regime equilibrium with its payoffs.  ``verified`` is always
+    True: exact best-response play from the constructed profile ended in it."""
 
     profile: StrategyProfile
     payoffs: np.ndarray
     verified: bool
 
 
-def consensus_equilibrium(
-    cfg: GameConfig,
-    cap: int = EXACT_ENUMERATION_CAP,
-    verify_cap: int = 250_000,
-) -> ConsensusEquilibrium:
+def consensus_equilibrium(cfg: GameConfig) -> ConsensusEquilibrium:
     """Find a pure equilibrium of the stationary-regime game.
 
     A starting profile is constructed in descending budget order: the first
     player claims the highest-weight nodes outright (stationary weight ties
     break toward lower node ids), and each later player plays an exact best
-    response to the profile built so far under stationary payoffs.  When the
-    total deviation count fits under ``verify_cap``, exact best-response play
-    (``best_response_dynamics``) runs from that profile, and the equilibrium
-    it reaches is returned verified.  With unequal budgets the game may have
-    no pure equilibrium at all.
+    response to the profile built so far under stationary payoffs.  Exact
+    best-response play (``best_response_dynamics``) then runs from that
+    profile, and the equilibrium it reaches is returned.  Consensus best
+    responses need no enumeration, so this works at any size.  With unequal
+    budgets the game may have no pure equilibrium at all.
 
     Raises:
         EquilibriumVerificationError: if best-response play ends without an
             equilibrium.
-        EnumerationCapError: when a best-response enumeration exceeds ``cap``.
     """
     table = payoff_table(cfg, "consensus")
     player_order = sorted(range(cfg.m), key=lambda j: (-cfg.budgets[j], j))
-    node_order = sorted(range(cfg.n), key=lambda v: (-table[0][v], v))
-
-    built: list[frozenset[int]] = []
-    for rank, p in enumerate(player_order):
-        if rank == 0:
-            built.append(frozenset(node_order[: min(cfg.budgets[p], cfg.n)]))
-            continue
-        candidates = _full_budget_sets(cfg, p, cap)
-        _, best, _ = _scan_best(table, rank, built, cfg.epsilon, candidates)
+    heaviest = np.argsort(-table[0], kind="stable")[: min(cfg.budgets[player_order[0]], cfg.n)]
+    built = [frozenset(heaviest.tolist())]
+    for p in player_order[1:]:
+        _, best, _ = _consensus_best(table, len(built), built, cfg.epsilon, min(cfg.budgets[p], cfg.n))
         built.append(frozenset(best))
 
-    sets: list[frozenset[int] | None] = [None] * cfg.m
-    for rank, p in enumerate(player_order):
-        sets[p] = built[rank]
-    profile = StrategyProfile(sets)
-
-    verified = False
-    deviation_count = sum(math.comb(cfg.n, min(b, cfg.n)) for b in cfg.budgets)
-    if deviation_count <= verify_cap:
-        outcome = best_response_dynamics(cfg, profile, regime="consensus", cap=cap)
-        if outcome.kind != "equilibrium":
-            raise EquilibriumVerificationError(
-                f"no pure equilibrium reached: best-response play from the constructed "
-                f"profile ended in {outcome.kind} after {len(outcome.trace)} moves, "
-                "with players still deviating"
-            )
-        profile = outcome.profile
-        verified = True
-    payoffs = table_payoffs(table, profile.strategies, cfg.epsilon)
-    return ConsensusEquilibrium(profile, payoffs, verified)
+    profile = StrategyProfile(built[player_order.index(j)] for j in range(cfg.m))
+    outcome = best_response_dynamics(cfg, profile, regime="consensus")
+    if outcome.kind != "equilibrium":
+        raise EquilibriumVerificationError(
+            f"no pure equilibrium reached: best-response play from the constructed "
+            f"profile ended in {outcome.kind} after {len(outcome.trace)} moves, "
+            "with players still deviating"
+        )
+    payoffs = table_payoffs(table, outcome.profile.strategies, cfg.epsilon)
+    return ConsensusEquilibrium(outcome.profile, payoffs, True)

@@ -5,13 +5,16 @@ on purpose sharing no code with the package: the mixing operator is assembled
 entry by entry, the stationary weights come from a dense least-squares or linear
 solve instead of power iteration, and payoffs come from an explicit simulation of
 the averaging recurrence.  ``random_graph_edges_oracle`` is the random
-generator written the plain quadratic way, to pin the package's faster one.
+generator written the plain quadratic way, and ``counterexample_edges_oracle``
+builds the ring-with-petals graph as Python edge tuples; they pin the
+package's array-built generators.
 ``validate_oracle`` checks a graph with adjacency lists and two graph searches.
 ``load_graph_oracle`` parses an edge list one line and one edge at a time, the
 way the package did before it stored graphs as arrays.
-``scan_best_oracle`` and ``exhaustive_nash_oracle`` are the exceptions: they
-are the solver loops that score one candidate or one profile per
-``table_payoffs`` call, kept to pin the batched scoring kernel to them.
+``scan_best_oracle``, ``consensus_best_oracle`` and ``exhaustive_nash_oracle``
+are the exceptions: they are the solver loops that score one candidate or one
+profile per ``table_payoffs`` call, kept to pin the batched scoring kernel and
+the sorting consensus responder to them.
 """
 
 from __future__ import annotations
@@ -259,6 +262,19 @@ def random_graph_edges_oracle(n: int, out_degree: int, seed: int):
     return tuple((u, v, float(w / sums[v])) for (u, v), w in sorted(raw.items()))
 
 
+def counterexample_edges_oracle(m: int, b: int):
+    """``(node_count, edges)`` of ``build_counterexample(m, b)``, built as sorted edge tuples."""
+    mu = m * (b + 1) + 1
+    pairs = [(i, (i + k) % mu) for i in range(mu) for k in range(1, b + 1)]
+    for i in range(mu):
+        left, right = mu + 2 * i, mu + 2 * i + 1
+        pairs.extend([(i, left), (i, right), (left, right), (right, i)])
+    in_degree = np.zeros(3 * mu, dtype=int)
+    for _, v in pairs:
+        in_degree[v] += 1
+    return 3 * mu, tuple((u, v, 1.0 / int(in_degree[v])) for u, v in sorted(pairs))
+
+
 def scan_best_oracle(table, i, others, epsilon, candidates):
     """``solver._scan_best`` with one ``table_payoffs`` call per candidate; earliest wins ties."""
     best_pay = -math.inf
@@ -270,6 +286,11 @@ def scan_best_oracle(table, i, others, epsilon, candidates):
         if pay > best_pay + IMPROVEMENT_TOL:
             best_pay, best = pay, cand
     return best_pay, best, total
+
+
+def consensus_best_oracle(table, i, others, epsilon, b):
+    """``solver._consensus_best`` by ``scan_best_oracle`` over every ``b``-set, in lexicographic order."""
+    return scan_best_oracle(table, i, others, epsilon, itertools.combinations(range(table.shape[1]), b))
 
 
 def exhaustive_nash_oracle(cfg, regime: str = "horizon"):

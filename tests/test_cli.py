@@ -23,6 +23,7 @@ from netinfluence import (
     build_counterexample,
     dump_graph,
     load_graph,
+    random_graph,
     utility,
 )
 from netinfluence.cli import main
@@ -401,6 +402,19 @@ def test_nash_dynamics_consensus_reaches_equilibrium(capsys, random_graph_file):
     assert field(out, "kind") == ["equilibrium"]
     profiles = field(out, "profile")
     assert len(profiles) == 2
+
+
+def test_nash_dynamics_consensus_runs_on_a_large_graph(capsys, tmp_path):
+    # Exact consensus best responses need no enumeration of the C(5000, 5) seed sets.
+    gpath = tmp_path / "large.graph"
+    gpath.write_text(dump_graph(random_graph(5000, 4, seed=1)))
+    code, out, err = run_cli(
+        capsys,
+        ["nash", "--graph", str(gpath), "--budgets", "5,5", "--dynamics", "--consensus", "--structured"],
+    )
+    assert code == 0, err
+    assert field(out, "kind") == ["equilibrium"]
+    assert [len(rest.split()[1].split(",")) for rest in field(out, "profile")] == [5, 5]
 
 
 def test_nash_dynamics_cycle_on_counterexample(capsys, tmp_path):

@@ -21,7 +21,12 @@ from netinfluence import (
     validate,
 )
 
-from oracles import load_graph_oracle, random_graph_edges_oracle, validate_oracle
+from oracles import (
+    counterexample_edges_oracle,
+    load_graph_oracle,
+    random_graph_edges_oracle,
+    validate_oracle,
+)
 
 TWO_CYCLE = "nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"
 
@@ -319,6 +324,13 @@ def test_counterexample_family_validates(m, b):
     assert report.ok, report.offending_nodes
 
 
+@pytest.mark.parametrize("m, b", [(m, b) for m in range(2, 5) for b in range(1, 4)])
+def test_counterexample_matches_edge_tuple_generator(m, b):
+    g = build_counterexample(m, b)
+    assert g == Graph(*counterexample_edges_oracle(m, b))
+    assert g.src.dtype == g.dst.dtype == np.int64
+
+
 @pytest.mark.parametrize("m, b", [(1, 1), (0, 2), (2, 0), (3, -1)])
 def test_counterexample_rejects_bad_parameters(m, b):
     with pytest.raises(ValueError):
@@ -352,6 +364,8 @@ def test_random_graph_matches_reference_generator(n, d):
         g = random_graph(n, d, seed=seed)
         assert g.edges == random_graph_edges_oracle(n, d, seed)
         assert all(type(u) is int and type(v) is int for u, v, _ in g.edges)
+        assert g == Graph(n, random_graph_edges_oracle(n, d, seed))
+        assert g.src.dtype == g.dst.dtype == np.int64
 
 
 def test_random_graph_validates_and_respects_out_degree():

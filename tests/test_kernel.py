@@ -1,8 +1,11 @@
-"""The batched candidate-scoring kernel against the per-candidate loops it replaced.
+"""The batched candidate-scoring kernel and the sorting consensus responder
+against the per-candidate loops they replaced.
 
 Random small games: random strongly connected graphs, and directed rings whose
 opponents seed every ``d``-th node, so that rotating a candidate by ``d``
-gives an exactly tied payoff.  Opponents may share seeds.
+gives an exactly tied payoff.  The two-cycle and the ring-with-petals graph of
+``build_counterexample(2, 1)`` are symmetric too, so many seed sets tie
+exactly there.  Opponents may share seeds.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netinfluence import (
+    EquilibriumVerificationError,
     GameConfig,
     Graph,
+    build_counterexample,
     consensus_equilibrium,
     exact_best_response,
     exhaustive_nash_check,
@@ -27,7 +32,7 @@ from netinfluence import (
 )
 from netinfluence import solver
 from netinfluence.game import _candidate_payoffs, assemble_profile
-from oracles import exhaustive_nash_oracle, scan_best_oracle
+from oracles import consensus_best_oracle, exhaustive_nash_oracle, scan_best_oracle
 
 REGIMES = ("horizon", "consensus")
 
@@ -36,7 +41,8 @@ REGIMES = ("horizon", "consensus")
 def games(draw, max_nodes=9, max_players=3, max_budget=3):
     """A game config, a responding player and their opponents' seed sets."""
     m = draw(st.integers(2, max_players))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["ring", "random", "two_cycle", "counterexample"]))
+    if kind == "ring":
         period = draw(st.integers(2, 3))
         n = period * draw(st.integers(2, max(2, max_nodes // period)))
         graph = Graph(n, tuple((v, (v + 1) % n, 1.0) for v in range(n)))
@@ -44,9 +50,14 @@ def games(draw, max_nodes=9, max_players=3, max_budget=3):
             frozenset(range(draw(st.integers(0, period - 1)), n, period)) for _ in range(m - 1)
         ]
     else:
-        n = draw(st.integers(3, max_nodes))
-        graph = random_graph(n, draw(st.integers(1, min(3, n - 1))), draw(st.integers(0, 10**6)))
-        nodes = st.integers(0, n - 1)
+        if kind == "random":
+            n = draw(st.integers(3, max_nodes))
+            graph = random_graph(n, draw(st.integers(1, min(3, n - 1))), draw(st.integers(0, 10**6)))
+        elif kind == "two_cycle":
+            graph = Graph(2, ((0, 1, 1.0), (1, 0, 1.0)))
+        else:
+            graph = build_counterexample(2, 1)
+        nodes = st.integers(0, graph.node_count - 1)
         others = [
             frozenset(draw(st.lists(nodes, min_size=1, max_size=max_budget, unique=True)))
             for _ in range(m - 1)
@@ -84,28 +95,42 @@ def test_kernel_matches_table_payoffs(game):
 
 @given(games())
 def test_best_responses_match_per_candidate_scan(game):
+    """Horizon-regime and greedy responses against the per-candidate scan; exact
+    consensus responses against scoring every full-budget set."""
     cfg, i, others = game
-    for regime in REGIMES:
-        fast = [
-            exact_best_response(cfg, i, others, regime=regime),
-            greedy_best_response(cfg, i, others, regime=regime),
+
+    def scanned():
+        return [exact_best_response(cfg, i, others)] + [
+            greedy_best_response(cfg, i, others, regime=regime) for regime in REGIMES
         ]
-        with mock.patch.object(solver, "_scan_best", scan_best_oracle):
-            slow = [
-                exact_best_response(cfg, i, others, regime=regime),
-                greedy_best_response(cfg, i, others, regime=regime),
-            ]
-        assert fast == slow, regime
+
+    fast = scanned()
+    with mock.patch.object(solver, "_scan_best", scan_best_oracle):
+        assert fast == scanned()
+
+    br = exact_best_response(cfg, i, others, regime="consensus")
+    table = payoff_table(cfg, "consensus")
+    payoff, best, _ = consensus_best_oracle(table, i, others, cfg.epsilon, min(cfg.budgets[i], cfg.n))
+    assert br.strategy == frozenset(best)
+    assert abs(br.payoff - payoff) <= 1e-12
+    assert br.evaluations == cfg.n
+
+
+def _equilibrium_or_error(cfg):
+    try:
+        eq = consensus_equilibrium(cfg)
+    except EquilibriumVerificationError as exc:
+        return str(exc)
+    assert eq.verified
+    return eq.profile, list(eq.payoffs)
 
 
 @given(games())
 def test_consensus_construction_matches_per_candidate_scan(game):
     cfg, _, _ = game
-    fast = consensus_equilibrium(cfg, verify_cap=0)
-    with mock.patch.object(solver, "_scan_best", scan_best_oracle):
-        slow = consensus_equilibrium(cfg, verify_cap=0)
-    assert fast.profile == slow.profile
-    assert list(fast.payoffs) == list(slow.payoffs)
+    fast = _equilibrium_or_error(cfg)
+    with mock.patch.object(solver, "_consensus_best", consensus_best_oracle):
+        assert fast == _equilibrium_or_error(cfg)
 
 
 @given(games(max_nodes=6, max_budget=2))

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netinfluence import (
+    IMPROVEMENT_TOL,
     EnumerationCapError,
     GameConfig,
     StrategyProfile,
@@ -326,6 +327,28 @@ def test_three_player_consensus_equilibrium_is_among_exhaustive_results(
     assert eq.verified
     assert eq.profile in exhaustive_nash_check(cfg, regime="consensus")
     assert list(eq.payoffs) == list(consensus_utility(cfg, eq.profile))
+
+
+def test_consensus_best_response_scores_nodes_not_sets():
+    # C(5000, 5) is about 2.6e16 seed sets, far over the enumeration cap; at
+    # consensus the exact response sorts the 5,000 node scores instead.
+    cfg = GameConfig(graph=random_graph(5000, 4, seed=1), budgets=(5, 5), horizon=1)
+    br = exact_best_response(cfg, 1, [{0, 1, 2, 3, 4}], regime="consensus")
+    assert len(br.strategy) == 5
+    assert br.evaluations == 5000
+    greedy = greedy_best_response(cfg, 1, [{0, 1, 2, 3, 4}], regime="consensus")
+    assert greedy.payoff <= br.payoff + IMPROVEMENT_TOL
+
+
+def test_consensus_equilibrium_is_verified_on_an_800_node_game():
+    # Enumeration would score 319,600 seed sets per response here.
+    cfg = GameConfig(graph=random_graph(800, 4, seed=1), budgets=(2, 2), horizon=1)
+    eq = consensus_equilibrium(cfg)
+    assert eq.verified
+    for i in range(2):
+        others = [eq.profile[1 - i]]
+        for respond in (exact_best_response, greedy_best_response):
+            assert respond(cfg, i, others, regime="consensus").payoff <= eq.payoffs[i] + IMPROVEMENT_TOL
 
 
 def test_consensus_equilibrium_is_deterministic():
