@@ -218,14 +218,14 @@ def cmd_centrality(args) -> int:
 
     if args.eigen:
         weights = eigenvector_weights(gamma).weights
-        for v in range(g.node_count):
-            report.line(f"weight {v} {fmt(weights[v])}")
+        for v, weight in enumerate(weights.tolist()):
+            report.line(f"weight {v} {fmt(weight)}")
         report.line(f"weight_sum {fmt(weights.sum())}")
     else:
         table = diffusion_centrality_matrix(gamma, args.horizon)
         for v in range(g.node_count):
             column = table[:, v] if isinstance(table, np.ndarray) else table[:, [v]].toarray().ravel()
-            report.line(f"influence {v} " + " ".join(fmt(x) for x in column))
+            report.line(f"influence {v} " + " ".join(map(fmt, column.tolist())))
     return report.emit()
 
 

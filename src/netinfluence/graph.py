@@ -11,11 +11,15 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 STOCHASTIC_TOL = 1e-9
 _MAX_NODE_COUNT = int(np.iinfo(np.int64).max)
+_CHUNK_LINES = 16384  # lines tokenized at a time by load_graph
+_FRONTIER_LEVELS = 64  # frontier rounds _reached_from_zero takes before counting them against nodes reached
+_FRONTIER_MIN_NODES = 300  # below this, a node-by-node walk beats a round's fixed numpy calls
 
 
 class GraphFormatError(ValueError):
@@ -68,8 +72,12 @@ def check_seed_ids(n: int, i: int, seeds) -> None:
 
 
 def _repeats(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Mask of the edges whose (source, target) pair an earlier edge already has."""
+    """Mask of the edges whose (source, target) pair an earlier edge already has.
+
+    Strictly increasing pairs, as dumped and generated graphs have, skip the sort."""
     repeat = np.zeros(src.size, dtype=bool)
+    if ((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))).all():
+        return repeat
     order = np.lexsort((dst, src))  # stable, so each pair's first edge sorts first
     later, earlier = order[1:], order[:-1]
     repeat[later[(src[later] == src[earlier]) & (dst[later] == dst[earlier])]] = True
@@ -201,13 +209,31 @@ class ValidationReport:
 
 
 def _reached_from_zero(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Mask of the nodes reachable from node 0 along the edges ``heads[k] -> tails[k]``."""
+    """Mask of the nodes reachable from node 0 along the edges ``heads[k] -> tails[k]``.
+
+    From ``_FRONTIER_MIN_NODES`` nodes up, expands whole frontiers while the
+    rounds stay within ``_FRONTIER_LEVELS`` plus one per 64 nodes reached,
+    then walks on from the last node by node.
+    """
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
-    indptr, targets = indptr.tolist(), memoryview(tails[np.argsort(heads)])
-    reached = bytearray(n)
-    reached[0] = 1
-    stack = [0]
+    targets = tails[np.argsort(heads)]
+    reached, slot = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp)
+    reached[0] = True
+    frontier, rounds, count = np.zeros(1, dtype=np.intp), 0, 1
+    while n >= _FRONTIER_MIN_NODES and frontier.size and rounds <= _FRONTIER_LEVELS + count // 64:
+        starts, sizes = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        # Positions starts[k] .. starts[k] + sizes[k] - 1 for every k, in one array.
+        nxt = targets[np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+        nxt = nxt[~reached[nxt]]
+        # Keep one copy of each node: the one whose position its slot ends up holding.
+        slot[nxt] = position = np.arange(nxt.size)
+        frontier = nxt[slot[nxt] == position]
+        reached[frontier] = True
+        rounds, count = rounds + 1, count + frontier.size
+    if not frontier.size:
+        return reached
+    indptr, targets, reached, stack = indptr.tolist(), memoryview(targets), bytearray(reached), frontier.tolist()
     while stack:
         node = stack.pop()
         for nxt in targets[indptr[node] : indptr[node + 1]]:
@@ -221,7 +247,8 @@ def validate(g: Graph, tol: float = STOCHASTIC_TOL) -> ValidationReport:
     """Check unit incoming weight per node and strong connectivity.
 
     Incoming weights are summed per node in edge order.  A node breaks strong
-    connectivity when it is unreachable from node 0 or cannot reach it.
+    connectivity when it is unreachable from node 0 or cannot reach it; each
+    search costs at most a node-by-node walk plus O(n / 64) array rounds.
 
     Args:
         g: the graph under test.
@@ -273,15 +300,38 @@ def _in_weight_sums(dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _chunk_columns(chunk: list, first: int, node_count: int, written: dict) -> tuple:
+    """Edge arrays and line numbers of the lines ``chunk``, numbered from ``first``.
+
+    Keeps the ids as written of its first edge with an id out of range in ``written[line]``.
+    """
+    tokens: list[str] = []  # strings, unlike tuples, are not tracked by the garbage collector
+    lines = array("q")
+    for line_no, raw in enumerate(chunk, start=first):
+        row = raw.split()
+        if len(row) == 4 and row[0] == "edge":
+            tokens += row
+            lines.append(line_no)
+        elif row and not row[0].startswith("#"):
+            _edge_columns(node_count, tokens[1::4], tokens[2::4], tokens[3::4], lines)  # earlier bad tokens win
+            raise GraphFormatError("expected 'edge <source> <target> <weight>'", line_no)
+    us, vs, ws = tokens[1::4], tokens[2::4], tokens[3::4]
+    src, dst, weight = _edge_columns(node_count, us, vs, ws, lines)
+    for k in np.flatnonzero((src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count))[:1].tolist():
+        written[lines[k]] = int(us[k]), int(vs[k])
+    return src, dst, weight, np.array(lines, dtype=np.int64)
+
+
 def load_graph(source, normalize: bool = False) -> Graph:
     """Parse the line-oriented edge-list format.
 
     ``source`` may be a string holding the whole document or any iterable of
     lines (an open file works).  Lines starting with ``#`` and blank lines are
     skipped.  The first payload line must be ``nodes <count>``; every further
-    payload line must be ``edge <source> <target> <weight>``.  One pass over
-    the lines collects the edge tokens as strings; they are then converted
-    and checked as arrays.
+    payload line must be ``edge <source> <target> <weight>``.  The lines after
+    the header are read ``_CHUNK_LINES`` at a time, and each chunk's tokens
+    become arrays before the next is read, so one chunk's strings are alive
+    at a time.  The arrays are then checked as a whole.
 
     Args:
         source: document text or iterable of lines.
@@ -295,27 +345,11 @@ def load_graph(source, normalize: bool = False) -> Graph:
     """
     if isinstance(source, str):
         source = source.splitlines()
-
-    node_count: int | None = None
-    # Strings, unlike tuples, are not tracked by the garbage collector.
-    us: list[str] = []
-    vs: list[str] = []
-    ws: list[str] = []
-    edge_lines = array("q")
-    add_u, add_v, add_w, add_line = us.append, vs.append, ws.append, edge_lines.append
-    for line_no, raw in enumerate(source, start=1):
+    lines = iter(source)
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if len(tokens) == 4 and tokens[0] == "edge" and node_count is not None:
-            add_u(tokens[1])
-            add_v(tokens[2])
-            add_w(tokens[3])
-            add_line(line_no)
-            continue
         if not tokens or tokens[0].startswith("#"):
             continue
-        if node_count is not None:
-            _edge_columns(node_count, us, vs, ws, edge_lines)  # a bad token on an earlier line wins
-            raise GraphFormatError("expected 'edge <source> <target> <weight>'", line_no)
         if tokens[0] != "nodes" or len(tokens) != 2:
             raise GraphFormatError("expected 'nodes <count>' header", line_no)
         try:
@@ -325,14 +359,20 @@ def load_graph(source, normalize: bool = False) -> Graph:
         problem = _node_count_problem(node_count)
         if problem:
             raise GraphFormatError(problem, line_no)
-
-    if node_count is None:
+        break
+    else:
         raise GraphFormatError("empty document: missing 'nodes <count>' header")
 
-    src, dst, weight = _edge_columns(node_count, us, vs, ws, edge_lines)
+    written: dict = {}
+    parts = [_chunk_columns([], 0, node_count, written)]  # so that no chunk still gives typed arrays
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        parts.append(_chunk_columns(chunk, line_no + 1, node_count, written))
+        line_no += len(chunk)
+    src, dst, weight, edge_lines = map(np.concatenate, zip(*parts))
+    del parts
 
     def ends(k):
-        return int(us[k]), int(vs[k])
+        return written.get(int(edge_lines[k])) or (int(src[k]), int(dst[k]))
 
     try:
         _check_edges(node_count, src, dst, weight, ends)
@@ -342,7 +382,7 @@ def load_graph(source, normalize: bool = False) -> Graph:
             # Of the checks, only the weight's can newly fail: it may underflow to zero.
             _check_edges(node_count, src, dst, weight, ends, ids_checked=True)
     except _EdgeError as exc:
-        raise GraphFormatError(str(exc), edge_lines[exc.index]) from None
+        raise GraphFormatError(str(exc), int(edge_lines[exc.index])) from None
     return Graph._from_arrays(node_count, src, dst, weight)
 
 

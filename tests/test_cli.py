@@ -270,6 +270,29 @@ def test_centrality_eigen_weights(capsys, two_cycle_file):
     assert abs(float(field(out, "weight_sum")[0]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("threshold", [dynamics.SPARSE_NODE_THRESHOLD, 1], ids=["dense", "sparse"])
+@pytest.mark.parametrize("structured", [[], ["--structured"]], ids=["plain", "structured"])
+@pytest.mark.parametrize("mode", [["--eigen"], ["--horizon", "2"]], ids=["eigen", "horizon"])
+def test_centrality_lines_match_per_element_rendering(capsys, tmp_path, monkeypatch, threshold, structured, mode):
+    monkeypatch.setattr(dynamics, "SPARSE_NODE_THRESHOLD", threshold)
+    text = dump_graph(random_graph(120, 4, 1))
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(text)
+    code, out, _ = run_cli(capsys, ["centrality", "--graph", str(gpath), *mode, *structured])
+    assert code == 0
+    gamma = dynamics.influence_matrix(load_graph(text), 0.5)
+    if mode == ["--eigen"]:
+        weights = dynamics.eigenvector_weights(gamma).weights
+        expected = [f"weight {v} {cli.fmt(weights[v])}" for v in range(120)]
+        expected.append(f"weight_sum {cli.fmt(weights.sum())}")
+    else:
+        table = dynamics.diffusion_centrality_matrix(gamma, 2)
+        assert isinstance(table, np.ndarray) == (threshold > 120)
+        table = table if isinstance(table, np.ndarray) else table.toarray()
+        expected = [f"influence {v} " + " ".join(cli.fmt(x) for x in table[:, v]) for v in range(120)]
+    assert [line for line in out.splitlines() if line.startswith(("weight", "influence"))] == expected
+
+
 # --- best-response -----------------------------------------------------------
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netinfluence import graph
 from netinfluence import (
     GameConfig,
     Graph,
@@ -85,10 +88,12 @@ def edge_documents(draw):
     """Edge-list documents: well formed, or broken in a few places.
 
     A per-document rate decides how often a token or line is replaced by an
-    odd one: ids out of range (some beyond int64) or not integers (``1_0``
-    is one), weights that are zero, negative, ``nan``, ``inf``, unparsable or
-    large enough for their sums to overflow, self-loops, repeated pairs,
-    comments, blank lines, lines with the wrong tokens and bad headers.
+    odd one: ids out of range (some beyond int64), not integers or written
+    oddly (``1_0``, ``007``, ``+5``), tokens split by whitespace that only
+    ``str.splitlines`` breaks lines at, weights that are zero, negative,
+    ``nan``, ``inf``, unparsable or large enough for their sums to overflow,
+    self-loops, repeated pairs, comments, blank lines, lines with the wrong
+    tokens and bad headers.  Half of the documents list their edges sorted.
     """
     odd = draw(st.sampled_from([0, 5, 15, 30]))  # percent
 
@@ -105,11 +110,15 @@ def edge_documents(draw):
     bad_ids = ["-1", str(n), "1_0", "x", "99999999999999999999", "-99999999999999999999"]
     bad_weights = ["1e-320", "1_0.5", "0", "-0.5", "-0.0", "nan", "inf", "-inf", "w"]
     bad_lines = ["", "# comment", "edge 0 1", "edge 0 1 1 1", "link 0 1 1", "nodes 3"]
+    # Whitespace that `str.splitlines` takes for a line break but a file does not.
+    spaces = ["\t", "  ", "\x0c", "\x1c", "\x85", "\u2028"]
+    if draw(st.booleans()):
+        chosen.sort()
     for u, v in chosen:
         u, v = pick([(u, v)], [(u, u), chosen[0]])
-        ids = [pick([str(x)], bad_ids) for x in (u, v)]
+        ids = [pick([str(x)], bad_ids + [f"00{x}", f"+{x}"]) for x in (u, v)]
         weight = pick(["1", "0.5", "0.25", "2.5", "1e308"], bad_weights)
-        lines.append(pick([f"edge {ids[0]} {ids[1]} {weight}"], bad_lines))
+        lines.append(pick([pick([" "], spaces).join(["edge", *ids, weight])], bad_lines))
     return "\n".join(lines) + "\n"
 
 
@@ -129,6 +138,76 @@ def _parse(parser, text, normalize):
 @example("nodes 4\nedge 1 3 1\nedge 0 1 1\nedge 1 3 1\n", False)
 def test_load_graph_matches_line_by_line_oracle(text, normalize):
     assert _parse(load_graph, text, normalize) == _parse(load_graph_oracle, text, normalize)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["text", "file lines"])
+@settings(max_examples=100)
+@given(text=edge_documents(), normalize=st.booleans())
+@example(text="nodes 3\nedge 0 1 1\nedge 1 2 1\nedge 2 0 x\n", normalize=False)
+@example(text="nodes 3\nedge 0 1 1\x0cedge 1 2 1\nedge 2 0 1\n", normalize=False)
+def test_load_graph_matches_oracle_across_chunk_boundaries(chunk, kind, text, normalize):
+    # A file splits lines at "\n" only; a string splits at every line break.
+    source = text if kind == "text" else list(io.StringIO(text))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_CHUNK_LINES", chunk)
+        assert _parse(load_graph, source, normalize) == _parse(load_graph_oracle, source, normalize)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("nodes 3\nedge 0 1 1\nedge 0 1 1\nedge 1 2 1\n", 3, "duplicate edge (0, 1)"),
+        ("nodes 3\nedge 1 2 1\nedge 0 1 1\nedge 1 2 1\n", 4, "duplicate edge (1, 2)"),
+        ("nodes 3\nedge 0 1 1\nedge 0 2 1\nedge 1 0 1\nedge 0 2 1\n", 5, "duplicate edge (0, 2)"),
+        ("nodes 3\nedge 0 1 1\nedge 2 1 1\nedge 1 0 1\nedge 1 2 1\nedge 2 1 1\n", 6,
+         "duplicate edge (2, 1)"),
+        ("nodes 3\nedge 00 +1 1\nedge 0 1_0 1\n", 3, "edge (0, 10) references an unknown node id"),
+        ("nodes 3\nedge 0 1 1\nedge 99999999999999999999 -1 1\n", 3,
+         "edge (99999999999999999999, -1) references an unknown node id"),
+        ("nodes 3\nedge 0 -99999999999999999999 1\nedge 9 1 1\n", 2,
+         "edge (0, -99999999999999999999) references an unknown node id"),
+        ("nodes 3\nedge 0 1 1\nedge 0 1 1\nedge 0 9 x\n", 4, "bad edge tokens ['0', '9', 'x']"),
+    ],
+    ids=["sorted-duplicate", "unsorted-duplicate", "partly-sorted-duplicate", "sorted-then-not",
+         "odd-ids", "beyond-int64", "below-int64", "bad-token-wins"],
+)
+@pytest.mark.parametrize("chunk", [1, 2, graph._CHUNK_LINES])
+def test_load_graph_errors_name_the_first_bad_edge(monkeypatch, chunk, text, line, message):
+    monkeypatch.setattr(graph, "_CHUNK_LINES", chunk)
+    for source in (text, text.splitlines(), io.StringIO(text)):
+        with pytest.raises(GraphFormatError) as exc_info:
+            load_graph(source)
+        assert (str(exc_info.value), exc_info.value.line) == (f"line {line}: {message}", line)
+
+
+def test_load_graph_accepts_ids_written_with_zeros_and_signs():
+    g = load_graph("nodes 11\nedge 007 +5 1\nedge 1_0 00 0.5\n")
+    assert g.edges == ((7, 5, 1.0), (10, 0, 0.5))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30), st.booleans())
+def test_repeats_marks_every_later_copy_of_a_pair(pairs, sort):
+    pairs = sorted(pairs) if sort else pairs
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    assert graph._repeats(src, dst).tolist() == [pair in pairs[:k] for k, pair in enumerate(pairs)]
+
+
+def test_load_graph_holds_one_chunk_of_strings_at_a_time():
+    g = random_graph(25_000, 4, seed=3)
+    source = iter(list(io.StringIO(dump_graph(g))))  # made before tracing starts, as a file would hand them over
+    array_bytes = g.src.nbytes + g.dst.nbytes + g.weight.nbytes
+    tracemalloc.start()
+    try:
+        loaded = load_graph(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
+    # Holding every token as a string takes over ten times the arrays' bytes; a chunk at a time, about four.
+    assert peak < 6 * array_bytes, f"peak {peak / array_bytes:.1f} times the arrays"
 
 
 EXACT = ((0, 1, 0.5), (0, 2, 1.0), (1, 0, 1.0), (2, 1, 0.5))
@@ -248,6 +327,77 @@ def edge_lists(draw, max_nodes=10):
 def test_validate_matches_adjacency_list_oracle(g):
     assert validate(g) == validate_oracle(g)
     assert validate(g, tol=0.1) == validate_oracle(g, tol=0.1)
+
+
+def _unit_in_weights(n, src, dst):
+    """``Graph`` on the edges ``src[k] -> dst[k]``, each weighted one over its target's in-degree."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    weight = 1.0 / np.bincount(dst, minlength=n)[dst]
+    return Graph(n, zip(src.tolist(), dst.tolist(), weight.tolist()))
+
+
+def _path(first, last):
+    return np.arange(first, last - 1), np.arange(first + 1, last)
+
+
+def _cluster(first, last, seed):
+    """Random edges among ``first .. last - 1`` through a ring, three out-edges per node."""
+    nodes = np.arange(first, last)
+    ring = np.random.default_rng(seed).permutation(nodes)
+    extra = np.random.default_rng(seed + 1).choice(nodes, size=(nodes.size, 2))
+    pairs = {(u, v) for u, v in zip(ring, np.roll(ring, -1))} | {
+        (u, v) for u, row in zip(nodes.tolist(), extra.tolist()) for v in row if u != v
+    }
+    src, dst = zip(*sorted(pairs))
+    return np.array(src), np.array(dst)
+
+
+def _ladder(width, length):
+    """``length`` rungs of ``width`` nodes, each wired to its neighbour and the next rung."""
+    grid = np.arange(width * length).reshape(length, width)
+    src = [grid[:, :-1].ravel(), grid[:, 1:].ravel(), grid[:-1].ravel()]
+    dst = [grid[:, 1:].ravel(), grid[:, :-1].ravel(), grid[1:].ravel()]
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _shapes():
+    """``(name, n, src, dst)`` of graphs whose searches run far past a few frontier rounds."""
+    for n in (50, 300, 2000):
+        src, dst = _path(0, n)
+        yield f"path-{n}", n, src, dst
+        yield f"ring-{n}", n, np.append(src, n - 1), np.append(dst, 0)
+    for width in (2, 3, 10, 100):
+        length = max(2, 1000 // width)
+        src, dst = _ladder(width, length)
+        last = width * length - 1
+        yield f"ladder-{width}", last + 1, src, dst
+        yield f"ladder-{width}-closed", last + 1, np.append(src, last), np.append(dst, 0)
+    path_src, path_dst = _path(0, 600)
+    blob_src, blob_dst = _cluster(599, 1500, seed=5)
+    yield "path-into-cluster", 1500, np.concatenate([path_src, blob_src]), np.concatenate([path_dst, blob_dst])
+    blob_src, blob_dst = _cluster(0, 900, seed=6)
+    path_src, path_dst = _path(899, 1500)
+    src, dst = np.concatenate([blob_src, path_src]), np.concatenate([blob_dst, path_dst])
+    yield "cluster-into-path", 1500, src, dst
+    yield "cluster-into-path-and-back", 1500, np.append(src, 1499), np.append(dst, 0)
+    # A long ring with a tail that leaves it, a tail that enters it and an island.
+    ring_src, ring_dst = _path(0, 1000)
+    out_src, out_dst = _path(1000, 1100)
+    src = np.concatenate([ring_src, [999, 500], out_src, np.arange(1101, 1150), [1149, 1150], [1151]])
+    dst = np.concatenate([ring_dst, [0, 1000], out_dst, np.arange(1102, 1151), [700, 1151], [1150]])
+    yield "ring-with-tails-and-island", 1152, src, dst
+
+
+@pytest.mark.parametrize("levels", [0, 3, graph._FRONTIER_LEVELS])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("shape", list(_shapes()), ids=lambda shape: shape[0])
+def test_validate_matches_oracle_on_long_searches(monkeypatch, shape, reverse, levels):
+    # Few frontier rounds hand over to the stack walk early, and long paths hand over at any setting.
+    monkeypatch.setattr(graph, "_FRONTIER_LEVELS", levels)
+    monkeypatch.setattr(graph, "_FRONTIER_MIN_NODES", 1)
+    _, n, src, dst = shape
+    g = _unit_in_weights(n, *((dst, src) if reverse else (src, dst)))
+    assert validate(g) == validate_oracle(g)
 
 
 @pytest.mark.parametrize(
