@@ -28,7 +28,7 @@ from .dynamics import (
     influence_matrix,
     seeded_opinions,
 )
-from .graph import Graph, check_seed_ids
+from .graph import Graph, _spans, check_seed_ids
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -283,7 +283,8 @@ def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
     """Closed-form payoffs of many candidate seed sets for one player, chunk by chunk.
 
     ``table`` is dense or compressed sparse column; each chunk's candidate
-    columns are gathered into a dense ``k x b x rows`` block either way.
+    columns are gathered into a dense ``k x b x rows`` block either way, a
+    sparse table's straight from its ``indptr``, ``indices`` and ``data``.
     ``others`` are the opponents' seed sets; ``candidates`` is an iterable of
     equal-size node tuples.  Yields ``(nodes, payoffs)``: a ``k x b`` array of
     the next candidates and each one's ``table_payoffs`` entry for the
@@ -300,18 +301,23 @@ def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
     if first is None:
         return
     size = len(first)
-    rows = max(1, _CHUNK_BYTES // (8 * size * table.shape[0]))
-    columns = table.T
+    height = table.shape[0]
+    rows = max(1, _CHUNK_BYTES // (8 * size * height))
     candidates = itertools.chain([first], candidates)
     while True:
         chunk = itertools.chain.from_iterable(itertools.islice(candidates, rows))
         nodes = np.fromiter(chunk, dtype=np.intp).reshape(-1, size)
         if not len(nodes):
             return
-        if isinstance(columns, np.ndarray):
-            block = columns[nodes]
-        else:
-            block = columns[nodes.ravel()].toarray().reshape(nodes.shape + (-1,))
+        if isinstance(table, np.ndarray):
+            block = table.T[nodes]
+        else:  # column v's entries sit at indptr[v] .. indptr[v + 1] - 1
+            flat = nodes.ravel()
+            starts, sizes = table.indptr[flat], table.indptr[flat + 1] - table.indptr[flat]
+            at = _spans(starts, sizes)
+            cells = np.repeat(np.arange(flat.size) * height, sizes) + table.indices[at]
+            block = np.bincount(cells, weights=table.data[at], minlength=flat.size * height)
+            block = block.reshape(nodes.shape + (height,))
         own = own_base + np.einsum("kbr,kb->kr", block, own_gain[nodes])
         total = total_base + np.einsum("kbr,kb->kr", block, total_gain[nodes])
         yield nodes, (own / total).mean(axis=1)

@@ -17,9 +17,11 @@ import numpy as np
 
 STOCHASTIC_TOL = 1e-9
 _MAX_NODE_COUNT = int(np.iinfo(np.int64).max)
-_CHUNK_LINES = 16384  # lines tokenized at a time by load_graph
+_CHUNK_LINES = 16384  # lines read at a time by load_graph
 _FRONTIER_LEVELS = 64  # frontier rounds _reached_from_zero takes before counting them against nodes reached
 _FRONTIER_MIN_NODES = 300  # below this, a node-by-node walk beats a round's fixed numpy calls
+# An edge line as numpy's C line reader stores it; a longer keyword keeps a fifth character.
+_EDGE_ROW = np.dtype([("keyword", "U5"), ("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
 class GraphFormatError(ValueError):
@@ -208,6 +210,11 @@ class ValidationReport:
         return self.stochastic and self.strongly_connected
 
 
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Positions ``starts[k] .. starts[k] + sizes[k] - 1`` for every ``k``, in one array."""
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
 def _reached_from_zero(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """Mask of the nodes reachable from node 0 along the edges ``heads[k] -> tails[k]``.
 
@@ -222,9 +229,7 @@ def _reached_from_zero(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarr
     reached[0] = True
     frontier, rounds, count = np.zeros(1, dtype=np.intp), 0, 1
     while n >= _FRONTIER_MIN_NODES and frontier.size and rounds <= _FRONTIER_LEVELS + count // 64:
-        starts, sizes = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
-        # Positions starts[k] .. starts[k] + sizes[k] - 1 for every k, in one array.
-        nxt = targets[np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+        nxt = targets[_spans(indptr[frontier], indptr[frontier + 1] - indptr[frontier])]
         nxt = nxt[~reached[nxt]]
         # Keep one copy of each node: the one whose position its slot ends up holding.
         slot[nxt] = position = np.arange(nxt.size)
@@ -300,8 +305,27 @@ def _in_weight_sums(dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _plain_columns(chunk: list, first: int) -> tuple | None:
+    """``_chunk_columns`` of a non-empty chunk of plain edge lines, by numpy's C line reader; else None.
+
+    ``loadtxt`` rejects comments, other token counts, ``1_0`` and ids beyond int64, and skips
+    blank lines, which the row count shows.  A chunk opening with another line could hold no
+    data, on which ``loadtxt`` warns; a NUL would vanish from the end of the keyword field.
+    """
+    if not chunk[0].startswith("edge") or "\0" in "".join(chunk):
+        return None
+    try:
+        rows = np.loadtxt(chunk, dtype=_EDGE_ROW, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(rows) != len(chunk) or (rows["keyword"] != "edge").any():
+        return None
+    lines = np.arange(first, first + len(chunk), dtype=np.int64)
+    return rows["src"].copy(), rows["dst"].copy(), rows["weight"].copy(), lines  # copies free the records
+
+
 def _chunk_columns(chunk: list, first: int, node_count: int, written: dict) -> tuple:
-    """Edge arrays and line numbers of the lines ``chunk``, numbered from ``first``.
+    """Edge arrays and line numbers of the lines ``chunk``, numbered from ``first``, line by line.
 
     Keeps the ids as written of its first edge with an id out of range in ``written[line]``.
     """
@@ -329,9 +353,12 @@ def load_graph(source, normalize: bool = False) -> Graph:
     lines (an open file works).  Lines starting with ``#`` and blank lines are
     skipped.  The first payload line must be ``nodes <count>``; every further
     payload line must be ``edge <source> <target> <weight>``.  The lines after
-    the header are read ``_CHUNK_LINES`` at a time, and each chunk's tokens
-    become arrays before the next is read, so one chunk's strings are alive
-    at a time.  The arrays are then checked as a whole.
+    the header are read by numpy's C line reader (``np.loadtxt``),
+    ``_CHUNK_LINES`` at a time; a chunk with a comment, a blank line or a
+    token numpy reads differently from ``int`` or ``float`` is tokenized
+    line by line instead.  Each chunk becomes arrays before the next is
+    read, so one chunk's strings are alive at a time.  The arrays are then
+    checked as a whole.
 
     Args:
         source: document text or iterable of lines.
@@ -366,7 +393,7 @@ def load_graph(source, normalize: bool = False) -> Graph:
     written: dict = {}
     parts = [_chunk_columns([], 0, node_count, written)]  # so that no chunk still gives typed arrays
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        parts.append(_chunk_columns(chunk, line_no + 1, node_count, written))
+        parts.append(_plain_columns(chunk, line_no + 1) or _chunk_columns(chunk, line_no + 1, node_count, written))
         line_no += len(chunk)
     src, dst, weight, edge_lines = map(np.concatenate, zip(*parts))
     del parts

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,12 +131,37 @@ def _parse(parser, text, normalize):
     return (g.node_count, g.edges) if isinstance(g, Graph) else g
 
 
+# Documents that numpy's C line reader and str.split/int/float read differently,
+# or that the reader must hand to the per-line tokenizer.
+READER_EDGE_CASES = [
+    "nodes 3\nedge 0 1 1\nedgeX 1 2 1\n",
+    "nodes 3\nedge 0 1 1\nedgeXYZ 1 2 1\n",
+    "nodes 3\nedge 0 1 1\nedge 1 2 1 # c\n",
+    "nodes 2\nedge 0 1 1\n \t \nedge 1 0 1\nedge 0 1 1\n",
+    "nodes 2\r\nedge 0 1 1\r\nedge 1 0 1\r\n",
+    "nodes 2\nedge\u30000\u30001\u30001\nedge 1\xa00 1\n",
+    "nodes 2\nedge 0 1 1_0.5\nedge 1 0 1\n",
+    "nodes 4\nedge 0 \u0663 1\nedge 3 0 1\n",
+    "nodes 3\nedge 0 1 1\nedge 9223372036854775808 1 1\n",
+    "nodes 3\nedge 0 -9223372036854775809 1\nedge 1 2 1\n",
+    "nodes 2\nedge\x00 0 1 1\nedge 1 0 1\n",
+    "nodes 2\nedge 0 1 1\nedge 1 0 1\x00\n",
+]
+
+
+def _reader_edge_cases(test):
+    for text in READER_EDGE_CASES:
+        test = example(text=text, normalize=False)(test)
+    return test
+
+
 @settings(max_examples=300)
 @given(edge_documents(), st.booleans())
 @example("nodes 3\nedge 0 x 1\nedge 0 1\n", False)
 @example("nodes 3\nedge 0 1 1e308\nedge 2 1 1e308\nedge 1 0 1\nedge 1 2 1\n", True)
 @example("nodes 3\nedge 0 1 1e-320\nedge 2 1 1e308\nedge 1 0 1\n", True)
 @example("nodes 4\nedge 1 3 1\nedge 0 1 1\nedge 1 3 1\n", False)
+@_reader_edge_cases
 def test_load_graph_matches_line_by_line_oracle(text, normalize):
     assert _parse(load_graph, text, normalize) == _parse(load_graph_oracle, text, normalize)
 
@@ -146,6 +172,7 @@ def test_load_graph_matches_line_by_line_oracle(text, normalize):
 @given(text=edge_documents(), normalize=st.booleans())
 @example(text="nodes 3\nedge 0 1 1\nedge 1 2 1\nedge 2 0 x\n", normalize=False)
 @example(text="nodes 3\nedge 0 1 1\x0cedge 1 2 1\nedge 2 0 1\n", normalize=False)
+@_reader_edge_cases
 def test_load_graph_matches_oracle_across_chunk_boundaries(chunk, kind, text, normalize):
     # A file splits lines at "\n" only; a string splits at every line break.
     source = text if kind == "text" else list(io.StringIO(text))
@@ -208,6 +235,41 @@ def test_load_graph_holds_one_chunk_of_strings_at_a_time():
     assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
     # Holding every token as a string takes over ten times the arrays' bytes; a chunk at a time, about four.
     assert peak < 6 * array_bytes, f"peak {peak / array_bytes:.1f} times the arrays"
+
+
+@pytest.mark.parametrize("spell", [repr, "{:#.12g}".format], ids=["repr", "12-digits"])
+def test_load_graph_reads_clean_dumps_without_the_tokenizer(monkeypatch, spell):
+    g = random_graph(10_000, 4, seed=5)
+    assert g.src.size > 2 * graph._CHUNK_LINES
+    weights = np.exp(np.random.default_rng(5).uniform(-740, 709, g.src.size)).tolist()  # subnormal to huge
+    lines = ["nodes 10000\n"]
+    lines += [f"edge {u} {v} {spell(w)}\n" for u, v, w in zip(g.src.tolist(), g.dst.tolist(), weights)]
+    tokenizer = graph._chunk_columns
+
+    def refuse(chunk, first, *rest):
+        assert not chunk, f"lines from {first} on reached the per-line tokenizer"
+        return tokenizer(chunk, first, *rest)
+
+    monkeypatch.setattr(graph, "_chunk_columns", refuse)
+    loaded = load_graph(lines)
+    assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
+    assert loaded.weight.tobytes() == np.array([float(line.split()[3]) for line in lines[1:]]).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, graph._CHUNK_LINES])
+def test_load_graph_leaks_no_warning_on_blank_or_comment_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(graph, "_CHUNK_LINES", chunk)
+    documents = [
+        "nodes 2\n\n\n\n \t \nedge 0 1 1\n\n\n\n\nedge 1 0 1\n\n\n",
+        "nodes 2\n# a\n# b\n#\nedge 0 1 1\n# c\n  # d\nedge 1 0 1\n# e\n",
+        "nodes 2\n\n\n\n",
+        "nodes 2\n# a\n# b\n# c\n",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in documents:
+            source = list(io.StringIO(text))
+            assert _parse(load_graph, source, False) == _parse(load_graph_oracle, source, False)
 
 
 EXACT = ((0, 1, 0.5), (0, 2, 1.0), (1, 0, 1.0), (2, 1, 0.5))

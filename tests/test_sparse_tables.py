@@ -74,21 +74,23 @@ def test_tables_stay_sparse_until_a_quarter_fills_and_match_dense():
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 @pytest.mark.parametrize("size", [1, 2])
-def test_candidate_payoffs_match_dense(horizon, size):
+def test_candidate_payoffs_match_dense(monkeypatch, horizon, size):
     cfg = GameConfig(GRAPH, (3, 2, 2), horizon=horizon)
     others = [frozenset({3, 17}), frozenset({17, 40})]
     candidates = [(v,) for v in range(cfg.n)] if size == 1 else [
         (u, v) for u in range(cfg.n) for v in range(u + 1, cfg.n)
     ]
-    expected = list(_candidate_payoffs(payoff_table(cfg), others, cfg.epsilon, candidates))
-    with sparse_operators():
-        table = payoff_table(cfg)
-        assert is_csc(table)
-        got = list(_candidate_payoffs(table, others, cfg.epsilon, candidates))
-    assert len(got) == len(expected)
-    for (nodes, pays), (ref_nodes, ref_pays) in zip(got, expected):
-        assert np.array_equal(nodes, ref_nodes)
-        assert np.max(np.abs(pays - ref_pays)) <= 1e-12
+    for chunk_bytes in (game._CHUNK_BYTES, 1):  # 1 byte: one candidate per chunk
+        monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
+        expected = list(_candidate_payoffs(payoff_table(cfg), others, cfg.epsilon, candidates))
+        with sparse_operators():
+            table = payoff_table(cfg)
+            assert is_csc(table)
+            got = list(_candidate_payoffs(table, others, cfg.epsilon, candidates))
+        assert len(got) == len(expected)
+        for (nodes, pays), (ref_nodes, ref_pays) in zip(got, expected):
+            assert np.array_equal(nodes, ref_nodes)
+            assert np.max(np.abs(pays - ref_pays)) <= 1e-12
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
