@@ -209,9 +209,13 @@ class ConsensusWeights:
 
     Strictly positive and summing to one; every opinion converges to its
     weighted average of the initial opinions under these weights.
+    ``iterations`` counts the power-iteration rounds run and ``residual`` is
+    the max-norm fixed-point error of ``weights`` (see ``eigenvector_weights``).
     """
 
     weights: np.ndarray
+    iterations: int = 0
+    residual: float = np.nan
 
 
 def eigenvector_weights(
@@ -244,7 +248,7 @@ def eigenvector_weights(
     c = np.full(gamma.n, 1.0 / gamma.n)
     delta = np.nan  # no step yet, so the first round has no rate and no estimate
     settled = 0  # rounds in a row that passed the stopping test
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         nxt = transposed @ c
         nxt /= nxt.sum()
         step = np.max(np.abs(nxt - c))
@@ -266,7 +270,7 @@ def eigenvector_weights(
         raise PowerIterationError(
             f"converged iterate fails the fixed-point check (residual {residual:.3e})"
         )
-    return ConsensusWeights(c)
+    return ConsensusWeights(c, iterations, float(residual))
 
 
 def consensus_reached(state: OpinionState, tol: float) -> bool:

@@ -267,16 +267,49 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
 _CHUNK_BYTES = 1 << 17
 
 
-def _response_terms(table: np.ndarray, others, epsilon: float):
-    """Per-row ``own_base, total_base`` and per-node ``own_gain, total_gain``; see ``_candidate_payoffs``."""
-    counts = np.zeros(table.shape[1])
-    for s in others:
-        counts[list(s)] += 1.0
+def _response_terms(table: np.ndarray, counts: np.ndarray, m: int, epsilon: float):
+    """``K x rows`` bases ``own_base, total_base`` and ``K x n`` gains ``own_gain, total_gain``
+    for the ``K x n`` opponent seed counts ``counts`` of ``m``-player games; see ``_candidate_payoffs``."""
     free = (counts == 0).astype(float)
-    m = len(others) + 1
-    z, p = table @ free, table @ (1.0 - free)
+    z, p = (table @ free.T).T, (table @ (1.0 - free).T).T
     own_gain, total_gain = 1.0 / (counts + 1.0) - epsilon * free, free * (1.0 - m * epsilon)
     return epsilon * z, p + m * epsilon * z, own_gain, total_gain
+
+
+def _opponent_counts(n: int, others) -> np.ndarray:
+    """The seed counts of one opponent configuration, as the ``1 x n`` input of ``_response_terms``."""
+    return np.bincount(np.fromiter(itertools.chain.from_iterable(others), np.intp), minlength=n)[None]
+
+
+def _score(table: np.ndarray, terms, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill and return ``out``, the ``K x C`` payoffs of the ``C x b`` candidate node ids
+    ``nodes`` against the ``K`` opponent configurations in ``terms``, by chunks of candidates
+    and configurations whose temporaries stay near ``_CHUNK_BYTES``; see ``_candidate_payoffs``."""
+    own_base, total_base, own_gain, total_gain = terms
+    height = table.shape[0]
+    count, size = nodes.shape
+    step = max(1, _CHUNK_BYTES // (8 * size * height))
+    for start in range(0, count, step):
+        chunk = nodes[start : start + step]
+        if isinstance(table, np.ndarray):
+            block = table.T[chunk]
+        else:  # column v's entries sit at indptr[v] .. indptr[v + 1] - 1
+            flat = chunk.ravel()
+            starts, sizes = table.indptr[flat], table.indptr[flat + 1] - table.indptr[flat]
+            at = _spans(starts, sizes)
+            cells = np.repeat(np.arange(flat.size) * height, sizes) + table.indices[at]
+            block = np.bincount(cells, weights=table.data[at], minlength=flat.size * height)
+            block = block.reshape(chunk.shape + (height,))
+        span = max(1, _CHUNK_BYTES // (8 * len(chunk) * height))
+        for first in range(0, len(out), span):
+            k = slice(first, first + span)
+            own = own_gain[k].T[chunk].transpose(0, 2, 1) @ block  # c x k x rows
+            own += own_base[k]
+            total = total_gain[k].T[chunk].transpose(0, 2, 1) @ block
+            total += total_base[k]
+            own /= total
+            out[k, start : start + len(chunk)] = own.mean(axis=2).T
+    return out
 
 
 def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
@@ -295,32 +328,20 @@ def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
     ``eps Z + sum_{v in A} T[r, v] (1 / (c_v + 1) - eps [c_v = 0])`` and the
     row's total opinion is ``P + m eps Z + sum_{v in A} T[r, v] [c_v = 0] (1 - m eps)``.
     """
-    own_base, total_base, own_gain, total_gain = _response_terms(table, others, epsilon)
+    terms = _response_terms(table, _opponent_counts(table.shape[1], others), len(others) + 1, epsilon)
     candidates = iter(candidates)
     first = next(candidates, None)
     if first is None:
         return
     size = len(first)
-    height = table.shape[0]
-    rows = max(1, _CHUNK_BYTES // (8 * size * height))
+    rows = max(1, _CHUNK_BYTES // (8 * size * table.shape[0]))
     candidates = itertools.chain([first], candidates)
     while True:
         chunk = itertools.chain.from_iterable(itertools.islice(candidates, rows))
         nodes = np.fromiter(chunk, dtype=np.intp).reshape(-1, size)
         if not len(nodes):
             return
-        if isinstance(table, np.ndarray):
-            block = table.T[nodes]
-        else:  # column v's entries sit at indptr[v] .. indptr[v + 1] - 1
-            flat = nodes.ravel()
-            starts, sizes = table.indptr[flat], table.indptr[flat + 1] - table.indptr[flat]
-            at = _spans(starts, sizes)
-            cells = np.repeat(np.arange(flat.size) * height, sizes) + table.indices[at]
-            block = np.bincount(cells, weights=table.data[at], minlength=flat.size * height)
-            block = block.reshape(nodes.shape + (height,))
-        own = own_base + np.einsum("kbr,kb->kr", block, own_gain[nodes])
-        total = total_base + np.einsum("kbr,kb->kr", block, total_gain[nodes])
-        yield nodes, (own / total).mean(axis=1)
+        yield nodes, _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
 
 
 def utility(cfg: GameConfig, profile) -> np.ndarray:

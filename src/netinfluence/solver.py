@@ -5,10 +5,11 @@ All comparisons between strategies treat payoff differences below
 enumeration orders are fixed, ties break toward lexicographically smallest
 seed sets (lowest node id for the greedy scan).
 
-One batched scorer rates candidate seed sets: ``game._candidate_payoffs``
-streams them in fixed-size chunks and scores a whole chunk against fixed
-opponents with a few array operations.  The horizon-regime exact scan, the
-greedy scan and ``exhaustive_nash_check`` go through it; consensus exact best
+One batched kernel, ``game._score``, rates an array of candidate seed sets
+against a stack of opponent configurations with a few array operations per
+chunk.  The horizon-regime exact scan and the greedy scan stream candidates
+through it against fixed opponents (``game._candidate_payoffs``), and
+``exhaustive_nash_check`` makes one pass per player; consensus exact best
 responses sort node scores built from the same terms (``_consensus_best``).
 A best response's reported payoff is its winner's ``table_payoffs`` value.
 """
@@ -22,11 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import game
 from .game import (
     GameConfig,
     StrategyProfile,
     _candidate_payoffs,
+    _opponent_counts,
     _response_terms,
+    _score,
     as_profile,
     assemble_profile,
     check_opponents,
@@ -74,12 +78,13 @@ class NashOutcome:
     ``kind`` is ``"equilibrium"`` (a full round passed with no change),
     ``"cycle_detected"`` (an earlier round-start profile recurred, so play
     provably repeats), or ``"max_rounds_exhausted"``.  ``trace`` records every
-    accepted improvement in order.
+    accepted improvement in order, and ``rounds`` counts the rounds played.
     """
 
     kind: str
     profile: StrategyProfile
     trace: tuple[Move, ...]
+    rounds: int = 0
 
 
 def _scan_best(table, i, others, epsilon, candidates):
@@ -114,7 +119,8 @@ def _consensus_best(table, i, others, epsilon, b):
     lam D - N``; fixing ids in increasing order then yields the lexicographically
     smallest such set.  ``n`` node scores are counted.
     """
-    own_base, total_base, own_gain, total_gain = _response_terms(table, others, epsilon)
+    terms = _response_terms(table, _opponent_counts(table.shape[1], others), len(others) + 1, epsilon)
+    own_base, total_base, own_gain, total_gain = (x.ravel() for x in terms)
     a, d = table[0] * own_gain, table[0] * total_gain
     held = total_gain == 0
     top = (np.concatenate(([0.0], np.cumsum(np.sort(x)[::-1]))) for x in (a[~held], d[~held], a[held]))
@@ -236,7 +242,7 @@ def best_response_dynamics(
     seen: set[tuple[tuple[int, ...], ...]] = set()
     trace: list[Move] = []
     kind = "max_rounds_exhausted"
-    for _ in range(max_rounds):
+    for rounds in range(1, max_rounds + 1):
         seen.add(tuple(tuple(sorted(s)) for s in strategies))
         order = list(range(cfg.m))
         if rng is not None:
@@ -259,7 +265,7 @@ def best_response_dynamics(
         if tuple(tuple(sorted(s)) for s in strategies) in seen:
             kind = "cycle_detected"
             break
-    return NashOutcome(kind, StrategyProfile(strategies), tuple(trace))
+    return NashOutcome(kind, StrategyProfile(strategies), tuple(trace), rounds)
 
 
 def exhaustive_nash_check(
@@ -272,8 +278,11 @@ def exhaustive_nash_check(
     A profile passes when no player can gain more than ``IMPROVEMENT_TOL`` by
     switching to any other full-budget seed set; monotone payoffs make
     below-budget deviations no better, so the restriction loses nothing.
-    Results come back in lexicographic profile order.  Memory scales with the
-    number of profiles times the number of players.
+    Results come back in lexicographic profile order.  Each player's options
+    are scored in one kernel pass against every combination of the other
+    players' options, taken in blocks whose terms fill about one kernel chunk.
+    Memory peaks below the payoffs array, ``8 m`` bytes per profile, plus one
+    chunk's temporaries (a few times ``game._CHUNK_BYTES``).
 
     Raises:
         EnumerationCapError: when the profile count exceeds ``cap``.
@@ -285,26 +294,28 @@ def exhaustive_nash_check(
         raise EnumerationCapError(
             f"{total} profiles exceed the cap of {cap}; shrink the instance or raise the cap"
         )
-    options = [list(itertools.combinations(range(cfg.n), b)) for b in sizes]
+    options = [np.array(list(itertools.combinations(range(cfg.n), b)), dtype=np.intp) for b in sizes]
     table = payoff_table(cfg, regime)
-    payoffs = np.empty(shape + (cfg.m,))
-    for j in range(cfg.m):
-        rest = [k for k in range(cfg.m) if k != j]
-        for idx in itertools.product(*(range(shape[k]) for k in rest)):
-            others = [options[k][x] for k, x in zip(rest, idx)]
-            row = payoffs[idx[:j] + (slice(None),) + idx[j:] + (j,)]
-            start = 0
-            for _, pays in _candidate_payoffs(table, others, cfg.epsilon, options[j]):
-                row[start : start + len(pays)] = pays
-                start += len(pays)
-
+    step = max(1, game._CHUNK_BYTES // (8 * cfg.n))  # opponent combinations whose terms fill a chunk
     stable = np.ones(shape, dtype=bool)
     for j in range(cfg.m):
-        per_player = payoffs[..., j]
-        stable &= per_player >= per_player.max(axis=j, keepdims=True) - IMPROVEMENT_TOL
+        rest = [k for k in range(cfg.m) if k != j]
+        # picks[:, x]: each opponent's option in combination x, the first opponent's slowest
+        picks = np.indices([shape[k] for k in rest]).reshape(len(rest), -1)
+        pays = np.empty((picks.shape[1], shape[j]))
+        for start in range(0, len(pays), step):
+            combos = picks[:, start : start + step]
+            counts = np.zeros((combos.shape[1], cfg.n))
+            for k, x in zip(rest, combos):
+                counts[np.arange(len(x))[:, None], options[k][x]] += 1.0
+            terms = _response_terms(table, counts, cfg.m, cfg.epsilon)
+            _score(table, terms, options[j], pays[start : start + step])
+        best = pays >= pays.max(axis=1, keepdims=True) - IMPROVEMENT_TOL
+        del pays  # freed before the next player's are built
+        stable &= np.moveaxis(best.reshape([shape[k] for k in rest] + [shape[j]]), -1, j)
 
     return [
-        StrategyProfile(options[j][int(idx[j])] for j in range(cfg.m))
+        StrategyProfile(options[j][x].tolist() for j, x in enumerate(idx))
         for idx in np.argwhere(stable)
     ]
 

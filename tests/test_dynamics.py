@@ -306,10 +306,18 @@ def test_stationary_weights_uniform_for_doubly_stochastic():
 def test_stationary_weights_match_linear_solve(seed):
     g = random_graph(12, 3, seed=seed)
     gamma = influence_matrix(g, 0.5)
-    ours = eigenvector_weights(gamma).weights
+    found = eigenvector_weights(gamma)
+    ours = found.weights
     assert np.max(np.abs(ours - stationary_oracle(g, 0.5))) < 1e-9
     assert abs(ours.sum() - 1.0) < 1e-12
     assert np.all(ours > 0)
+    assert found.residual < 10 * dynamics.DEFAULT_EIGEN_TOL
+    assert found.residual == np.max(np.abs(gamma.entries.T @ ours - ours))
+    assert found.iterations >= 1
+    # The reported count is exactly the budget the iteration needs.
+    assert eigenvector_weights(gamma, max_iter=found.iterations).weights.tolist() == ours.tolist()
+    with pytest.raises(PowerIterationError, match="no convergence"):
+        eigenvector_weights(gamma, max_iter=found.iterations - 1)
 
 
 def test_stationary_weights_counterexample_against_oracle():

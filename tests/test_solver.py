@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from netinfluence import (
     exhaustive_nash_check,
     greedy_best_response,
     load_graph,
+    payoff_table,
     random_graph,
     utility,
     utility_closed_form,
 )
+from netinfluence import game
 from oracles import singleton_equilibria_oracle, stationary_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -138,6 +141,7 @@ def test_dynamics_stays_put_at_an_equilibrium():
     assert outcome.kind == "equilibrium"
     assert outcome.profile == as_profile([{0}, {1}])
     assert outcome.trace == ()
+    assert outcome.rounds == 1
 
 
 def test_dynamics_finds_equilibrium_in_consensus_regime():
@@ -160,11 +164,31 @@ def test_dynamics_detects_cycle_on_counterexample():
         assert move.delta > 0
 
 
+def test_dynamics_counts_round_start_profiles_until_a_cycle():
+    g = build_counterexample(2, 1)
+    cfg = GameConfig(graph=g, budgets=(1, 1), horizon=1)
+    outcome = best_response_dynamics(cfg, [{0}, {0}])
+    assert outcome.kind == "cycle_detected"
+    # Play capped at r rounds ends at the profile that starts round r + 1.
+    starts = [as_profile([{0}, {0}])]
+    while True:
+        capped = best_response_dynamics(cfg, [{0}, {0}], max_rounds=len(starts))
+        assert capped.rounds == len(starts)
+        if capped.kind == "cycle_detected":
+            break
+        assert capped.kind == "max_rounds_exhausted"
+        starts.append(capped.profile)
+    assert len(set(starts)) == len(starts) > 1
+    assert outcome.rounds == len(starts)
+    assert outcome.profile in starts
+
+
 def test_dynamics_round_budget_exhaustion():
     g = build_counterexample(2, 1)
     cfg = GameConfig(graph=g, budgets=(1, 1), horizon=1)
     outcome = best_response_dynamics(cfg, [{0}, {0}], max_rounds=2)
     assert outcome.kind == "max_rounds_exhausted"
+    assert outcome.rounds == 2
     assert len(outcome.trace) <= 2 * cfg.m
 
 
@@ -210,6 +234,8 @@ def test_exhaustive_matches_singleton_oracle_on_two_cycle():
     assert {p.canonical() for p in found} == oracle
     # All four singleton profiles tie, so all four are equilibria.
     assert len(found) == 4
+    assert all(type(v) is int for profile in found for s in profile for v in s)
+    assert repr(found[0]) == "StrategyProfile([[0], [0]])"
 
 
 def test_exhaustive_matches_singleton_oracle_on_random_graphs():
@@ -241,6 +267,22 @@ def test_exhaustive_profiles_are_true_fixed_points():
         outcome = best_response_dynamics(cfg, profile)
         assert outcome.kind == "equilibrium"
         assert outcome.trace == ()
+
+
+def test_exhaustive_memory_stays_near_the_payoffs_array():
+    cfg = GameConfig(graph=build_counterexample(2, 2), budgets=(2, 2), horizon=2)
+    payoff_table(cfg)  # the cached table is not the check's memory
+    tracemalloc.start()
+    try:
+        found = exhaustive_nash_check(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == []
+    payoffs = 8 * cfg.m * math.comb(cfg.n, 2) ** 2  # 706 KB for the 44,100 profiles
+    # Measured: 1.03 MB, two and a half chunks above the payoffs array.  Scoring all
+    # 210 candidates against all 210 opponent sets at once takes 7.4 MB per temporary.
+    assert peak < payoffs + 4 * game._CHUNK_BYTES
 
 
 def test_exhaustive_cap_is_enforced():

@@ -26,12 +26,14 @@ from netinfluence import (
     exhaustive_nash_check,
     greedy_best_response,
     influence_matrix,
+    load_graph,
     payoff_table,
     random_graph,
 )
 from netinfluence import dynamics, game
 from netinfluence.cli import main
 from netinfluence.game import _candidate_payoffs
+from oracles import exhaustive_nash_oracle
 
 GRAPH = random_graph(60, 2, seed=5)
 
@@ -120,6 +122,30 @@ def test_equilibrium_search_matches_dense():
     assert (play.kind, play.profile) == (dense_play.kind, dense_play.profile)
     assert dense_play.trace and [m[:3] for m in play.trace] == [m[:3] for m in dense_play.trace]
     assert max(abs(a.delta - b.delta) for a, b in zip(play.trace, dense_play.trace)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "graph, budgets",
+    [
+        (random_graph(10, 1, seed=1), (2, 1)),  # a ring: hundreds of exactly tied equilibria
+        (random_graph(12, 2, seed=3), (1, 1)),
+        (random_graph(12, 2, seed=3), (1, 2, 1)),
+        (load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"), (2, 2, 1)),  # budgets over n
+    ],
+    ids=["ring", "two-player", "three-player", "two-cycle"],
+)
+def test_exhaustive_matches_oracle_one_candidate_per_chunk(monkeypatch, graph, budgets):
+    """A 1-byte chunk scores one candidate against one opponent combination at a time."""
+    cfg = GameConfig(graph, budgets, horizon=1)
+    monkeypatch.setattr(game, "_CHUNK_BYTES", 1)
+    for regime in ("horizon", "consensus"):
+        expected = exhaustive_nash_oracle(cfg, regime)
+        assert [p.canonical() for p in exhaustive_nash_check(cfg, regime=regime)] == expected
+        with sparse_operators():
+            table = payoff_table(cfg, regime)
+            assert is_csc(table) == (regime == "horizon" and graph.node_count > 2)
+            found = exhaustive_nash_check(cfg, regime=regime)
+        assert [p.canonical() for p in found] == expected, regime
 
 
 def test_centrality_horizon_prints_identically(capsys, tmp_path):
