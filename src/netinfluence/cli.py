@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    _columns,
     consensus_reached,
     diffusion_centrality_matrix,
     eigenvector_weights,
@@ -27,7 +28,7 @@ from .dynamics import (
     influence_matrix,
     initialize,
 )
-from .game import GameConfig, StrategyProfile, _mixing_matrix, _shares, check_profile
+from .game import _CHUNK_BYTES, GameConfig, StrategyProfile, _mixing_matrix, _shares, check_profile
 from .graph import Graph, GraphFormatError, build_counterexample, dump_graph, load_graph, random_graph
 from .solver import (
     best_response_dynamics,
@@ -223,9 +224,10 @@ def cmd_centrality(args) -> int:
         report.line(f"weight_sum {fmt(weights.sum())}")
     else:
         table = diffusion_centrality_matrix(gamma, args.horizon)
-        for v in range(g.node_count):
-            column = table[:, v] if isinstance(table, np.ndarray) else table[:, [v]].toarray().ravel()
-            report.line(f"influence {v} " + " ".join(map(fmt, column.tolist())))
+        step = max(1, _CHUNK_BYTES // (8 * g.node_count))  # columns gathered at a time
+        for nodes in np.split(np.arange(g.node_count), range(step, g.node_count, step)):
+            for v, column in zip(nodes.tolist(), _columns(table, nodes).tolist()):
+                report.line(f"influence {v} " + " ".join(map(fmt, column)))
     return report.emit()
 
 

@@ -12,8 +12,8 @@ opinion converges toward.
 
 Operators are dense numpy arrays up to ``SPARSE_NODE_THRESHOLD`` nodes and
 ``scipy.sparse`` matrices above it.  scipy is imported only when a graph
-above the threshold builds its operator, so small-graph runs never load it;
-code elsewhere tells the formats apart with ``isinstance(x, np.ndarray)``.
+above the threshold builds its operator, so small-graph runs never load it.
+Only this module tells the formats apart (``_columns``, ``_table_bytes``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph, check_seed_ids, validate
+from .graph import Graph, _spans, check_seed_ids, validate
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -201,6 +201,28 @@ def diffusion_centrality_matrix(
         if not isinstance(table, np.ndarray) and 4 * table.nnz > n * n:
             table = table.toarray()
     return table if isinstance(table, np.ndarray) else table.tocsc()
+
+
+def _columns(table, nodes: np.ndarray) -> np.ndarray:
+    """Columns ``nodes`` of a dense or compressed sparse column ``table`` as one dense
+    ``nodes.shape + (rows,)`` array; a sparse table's straight from ``indptr``, ``indices`` and ``data``."""
+    if isinstance(table, np.ndarray):
+        return table.T[nodes]
+    height, flat = table.shape[0], nodes.ravel()
+    # column v's entries sit at indptr[v] .. indptr[v + 1] - 1
+    starts, sizes = table.indptr[flat], table.indptr[flat + 1] - table.indptr[flat]
+    at = _spans(starts, sizes)
+    cells = np.repeat(np.arange(flat.size) * height, sizes) + table.indices[at]
+    block = np.bincount(cells, weights=table.data[at], minlength=flat.size * height)
+    return block.reshape(nodes.shape + (height,))
+
+
+def _table_bytes(table) -> int:
+    """Memory held by a dense table, a compressed sparse table's three arrays, or an operator's entries."""
+    table = getattr(table, "entries", table)
+    if isinstance(table, np.ndarray):
+        return table.nbytes
+    return table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
 
 
 @dataclass(frozen=True, eq=False)

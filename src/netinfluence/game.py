@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
     OpinionState,
     diffusion_centrality_matrix,
@@ -28,7 +29,7 @@ from .dynamics import (
     influence_matrix,
     seeded_opinions,
 )
-from .graph import Graph, _spans, check_seed_ids
+from .graph import Graph, check_seed_ids
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -164,14 +165,6 @@ def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int],
     return others
 
 
-def _table_bytes(table) -> int:
-    """Memory held by a dense table, a compressed sparse table's three arrays, or an operator's entries."""
-    table = getattr(table, "entries", table)
-    if isinstance(table, np.ndarray):
-        return table.nbytes
-    return table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
-
-
 def _cache_by_bytes(max_bytes: int):
     """Memoize a table builder by its arguments, bounded by the tables' bytes.
 
@@ -190,9 +183,9 @@ def _cache_by_bytes(max_bytes: int):
             table = tables.get(key)
             if table is None:
                 table = tables[key] = build(*key)
-                held += _table_bytes(table)
+                held += dynamics._table_bytes(table)
                 while len(tables) > 1 and held > max_bytes:
-                    held -= _table_bytes(tables.popitem(last=False)[1])
+                    held -= dynamics._table_bytes(tables.popitem(last=False)[1])
             else:
                 tables.move_to_end(key)
             return table
@@ -220,9 +213,10 @@ def _horizon_table(graph: Graph, alpha: float, horizon: int) -> np.ndarray | _sp
     return diffusion_centrality_matrix(_mixing_matrix(graph, alpha), horizon)
 
 
+# One row per graph (c Gamma = c iff c W = c), from the alpha = 1/2 operator: exactly the lazy walk (I + W) / 2.
 @_cache_by_bytes(1 << 28)
-def _consensus_table(graph: Graph, alpha: float) -> np.ndarray:
-    return eigenvector_weights(_mixing_matrix(graph, alpha)).weights[None, :]
+def _consensus_table(graph: Graph) -> np.ndarray:
+    return eigenvector_weights(_mixing_matrix(graph, 0.5)).weights[None, :]
 
 
 def payoff_table(cfg: GameConfig, regime: str = "horizon") -> np.ndarray | _sparse.csc_matrix:
@@ -240,7 +234,7 @@ def payoff_table(cfg: GameConfig, regime: str = "horizon") -> np.ndarray | _spar
     if regime == "horizon":
         return _horizon_table(cfg.graph, cfg.alpha, cfg.horizon)
     if regime == "consensus":
-        return _consensus_table(cfg.graph, cfg.alpha)
+        return _consensus_table(cfg.graph)
     raise ValueError(f"unknown regime {regime!r}; expected 'horizon' or 'consensus'")
 
 
@@ -269,37 +263,39 @@ _CHUNK_BYTES = 1 << 17
 
 def _response_terms(table: np.ndarray, counts: np.ndarray, m: int, epsilon: float):
     """``K x rows`` bases ``own_base, total_base`` and ``K x n`` gains ``own_gain, total_gain``
-    for the ``K x n`` opponent seed counts ``counts`` of ``m``-player games; see ``_candidate_payoffs``."""
+    for the ``K x n`` opponent seed counts ``counts`` of ``m``-player games.
+
+    A candidate's payoff depends on the opponents only through each node's seed
+    count ``c_v``.  With ``Z`` and ``P`` the table's row sums over the unseeded
+    and the opponent-seeded columns, candidate ``A``'s strength at row ``r`` is
+    ``eps Z + sum_{v in A} T[r, v] (1 / (c_v + 1) - eps [c_v = 0])``, the row's
+    total opinion is ``P + m eps Z + sum_{v in A} T[r, v] [c_v = 0] (1 - m eps)``,
+    and the payoff, the mean over rows of strength over total, is the
+    candidate's ``table_payoffs`` entry within rounding.
+    """
     free = (counts == 0).astype(float)
     z, p = (table @ free.T).T, (table @ (1.0 - free).T).T
     own_gain, total_gain = 1.0 / (counts + 1.0) - epsilon * free, free * (1.0 - m * epsilon)
     return epsilon * z, p + m * epsilon * z, own_gain, total_gain
 
 
-def _opponent_counts(n: int, others) -> np.ndarray:
-    """The seed counts of one opponent configuration, as the ``1 x n`` input of ``_response_terms``."""
-    return np.bincount(np.fromiter(itertools.chain.from_iterable(others), np.intp), minlength=n)[None]
+def _opponent_terms(table: np.ndarray, others, epsilon: float):
+    """``_response_terms`` of the one opponent configuration ``others``: seed sets in player order."""
+    counts = np.bincount(np.fromiter(itertools.chain.from_iterable(others), np.intp), minlength=table.shape[1])
+    return _response_terms(table, counts[None], len(others) + 1, epsilon)
 
 
 def _score(table: np.ndarray, terms, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill and return ``out``, the ``K x C`` payoffs of the ``C x b`` candidate node ids
     ``nodes`` against the ``K`` opponent configurations in ``terms``, by chunks of candidates
-    and configurations whose temporaries stay near ``_CHUNK_BYTES``; see ``_candidate_payoffs``."""
+    and configurations whose temporaries stay near ``_CHUNK_BYTES``; see ``_response_terms``."""
     own_base, total_base, own_gain, total_gain = terms
     height = table.shape[0]
     count, size = nodes.shape
     step = max(1, _CHUNK_BYTES // (8 * size * height))
     for start in range(0, count, step):
         chunk = nodes[start : start + step]
-        if isinstance(table, np.ndarray):
-            block = table.T[chunk]
-        else:  # column v's entries sit at indptr[v] .. indptr[v + 1] - 1
-            flat = chunk.ravel()
-            starts, sizes = table.indptr[flat], table.indptr[flat + 1] - table.indptr[flat]
-            at = _spans(starts, sizes)
-            cells = np.repeat(np.arange(flat.size) * height, sizes) + table.indices[at]
-            block = np.bincount(cells, weights=table.data[at], minlength=flat.size * height)
-            block = block.reshape(chunk.shape + (height,))
+        block = dynamics._columns(table, chunk)
         span = max(1, _CHUNK_BYTES // (8 * len(chunk) * height))
         for first in range(0, len(out), span):
             k = slice(first, first + span)
@@ -310,38 +306,6 @@ def _score(table: np.ndarray, terms, nodes: np.ndarray, out: np.ndarray) -> np.n
             own /= total
             out[k, start : start + len(chunk)] = own.mean(axis=2).T
     return out
-
-
-def _candidate_payoffs(table: np.ndarray, others, epsilon: float, candidates):
-    """Closed-form payoffs of many candidate seed sets for one player, chunk by chunk.
-
-    ``table`` is dense or compressed sparse column; each chunk's candidate
-    columns are gathered into a dense ``k x b x rows`` block either way, a
-    sparse table's straight from its ``indptr``, ``indices`` and ``data``.
-    ``others`` are the opponents' seed sets; ``candidates`` is an iterable of
-    equal-size node tuples.  Yields ``(nodes, payoffs)``: a ``k x b`` array of
-    the next candidates and each one's ``table_payoffs`` entry for the
-    responding player (equal to within rounding).  The payoff depends on the
-    opponents only through each node's seed count ``c_v``.  With ``Z`` and
-    ``P`` the table's row sums over the unseeded and the opponent-seeded
-    columns, candidate ``A``'s strength at row ``r`` is
-    ``eps Z + sum_{v in A} T[r, v] (1 / (c_v + 1) - eps [c_v = 0])`` and the
-    row's total opinion is ``P + m eps Z + sum_{v in A} T[r, v] [c_v = 0] (1 - m eps)``.
-    """
-    terms = _response_terms(table, _opponent_counts(table.shape[1], others), len(others) + 1, epsilon)
-    candidates = iter(candidates)
-    first = next(candidates, None)
-    if first is None:
-        return
-    size = len(first)
-    rows = max(1, _CHUNK_BYTES // (8 * size * table.shape[0]))
-    candidates = itertools.chain([first], candidates)
-    while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(candidates, rows))
-        nodes = np.fromiter(chunk, dtype=np.intp).reshape(-1, size)
-        if not len(nodes):
-            return
-        yield nodes, _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
 
 
 def utility(cfg: GameConfig, profile) -> np.ndarray:

@@ -5,10 +5,10 @@ All comparisons between strategies treat payoff differences below
 enumeration orders are fixed, ties break toward lexicographically smallest
 seed sets (lowest node id for the greedy scan).
 
-One batched kernel, ``game._score``, rates an array of candidate seed sets
-against a stack of opponent configurations with a few array operations per
-chunk.  The horizon-regime exact scan and the greedy scan stream candidates
-through it against fixed opponents (``game._candidate_payoffs``), and
+One batched kernel, ``game._score``, rates arrays of candidate node ids
+against a stack of opponent configurations, chunk by chunk.  ``_scan_best``
+feeds it against fixed opponents: the horizon-regime exact scan's blocks of
+combinations (``_combinations``) and greedy's one array per step.
 ``exhaustive_nash_check`` makes one pass per player; consensus exact best
 responses sort node scores built from the same terms (``_consensus_best``).
 A best response's reported payoff is its winner's ``table_payoffs`` value.
@@ -27,8 +27,7 @@ from . import game
 from .game import (
     GameConfig,
     StrategyProfile,
-    _candidate_payoffs,
-    _opponent_counts,
+    _opponent_terms,
     _response_terms,
     _score,
     as_profile,
@@ -87,17 +86,28 @@ class NashOutcome:
     rounds: int = 0
 
 
-def _scan_best(table, i, others, epsilon, candidates):
+def _combinations(n: int, b: int):
+    """``itertools.combinations(range(n), b)`` as ``C x b`` node-id arrays of about ``game._CHUNK_BYTES``."""
+    ids = itertools.chain.from_iterable(itertools.combinations(range(n), b))
+    rows = max(1, game._CHUNK_BYTES // (8 * b))
+    while len(block := np.fromiter(itertools.islice(ids, rows * b), np.intp)):
+        yield block.reshape(-1, b)
+
+
+def _scan_best(table, i, others, epsilon, blocks):
     """Best payoff, best candidate and candidates scored for player ``i``; earliest wins ties.
 
-    A candidate wins only by beating the best so far by more than
-    ``IMPROVEMENT_TOL``, so only a chunk's strict running maxima can win.  The
+    ``blocks`` is an iterable of ``C x b`` arrays of candidate node ids.  A
+    candidate wins only by beating the best so far by more than
+    ``IMPROVEMENT_TOL``, so only a block's strict running maxima can win.  The
     winner is scored again with ``table_payoffs``, whose value is reported.
     """
+    terms = _opponent_terms(table, others, epsilon)
     best_pay = -math.inf
     best = None
     total = 0
-    for nodes, pays in _candidate_payoffs(table, others, epsilon, candidates):
+    for nodes in blocks:
+        pays = _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
         total += len(pays)
         ahead = np.concatenate(([-math.inf], np.maximum.accumulate(pays)[:-1]))
         for k in np.flatnonzero(pays > np.maximum(ahead, best_pay + IMPROVEMENT_TOL)):
@@ -119,7 +129,7 @@ def _consensus_best(table, i, others, epsilon, b):
     lam D - N``; fixing ids in increasing order then yields the lexicographically
     smallest such set.  ``n`` node scores are counted.
     """
-    terms = _response_terms(table, _opponent_counts(table.shape[1], others), len(others) + 1, epsilon)
+    terms = _opponent_terms(table, others, epsilon)
     own_base, total_base, own_gain, total_gain = (x.ravel() for x in terms)
     a, d = table[0] * own_gain, table[0] * total_gain
     held = total_gain == 0
@@ -180,8 +190,7 @@ def exact_best_response(
             "use greedy_best_response or raise the cap"
         )
     else:
-        candidates = itertools.combinations(range(cfg.n), b)
-        found = _scan_best(payoff_table(cfg, regime), i, others, cfg.epsilon, candidates)
+        found = _scan_best(payoff_table(cfg, regime), i, others, cfg.epsilon, _combinations(cfg.n, b))
     payoff, best, evaluations = found
     return BestResponse(frozenset(best), payoff, evaluations)
 
@@ -206,8 +215,9 @@ def greedy_best_response(
     evaluations = 0
     for _ in range(b):
         # Candidates extend the chosen nodes in pick order: payoffs ignore node order.
-        candidates = (chosen + (v,) for v in range(cfg.n) if v not in chosen)
-        payoff, chosen, count = _scan_best(table, i, others, cfg.epsilon, candidates)
+        free = np.delete(np.arange(cfg.n), chosen)
+        nodes = np.column_stack([np.full(len(free), v) for v in chosen] + [free])
+        payoff, chosen, count = _scan_best(table, i, others, cfg.epsilon, [nodes])
         evaluations += count
     return BestResponse(frozenset(chosen), payoff, evaluations)
 
@@ -294,7 +304,7 @@ def exhaustive_nash_check(
         raise EnumerationCapError(
             f"{total} profiles exceed the cap of {cap}; shrink the instance or raise the cap"
         )
-    options = [np.array(list(itertools.combinations(range(cfg.n), b)), dtype=np.intp) for b in sizes]
+    options = [np.concatenate(list(_combinations(cfg.n, b))) for b in sizes]
     table = payoff_table(cfg, regime)
     step = max(1, game._CHUNK_BYTES // (8 * cfg.n))  # opponent combinations whose terms fill a chunk
     stable = np.ones(shape, dtype=bool)

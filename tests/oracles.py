@@ -275,12 +275,15 @@ def counterexample_edges_oracle(m: int, b: int):
     return 3 * mu, tuple((u, v, 1.0 / int(in_degree[v])) for u, v in sorted(pairs))
 
 
-def scan_best_oracle(table, i, others, epsilon, candidates):
-    """``solver._scan_best`` with one ``table_payoffs`` call per candidate; earliest wins ties."""
+def scan_best_oracle(table, i, others, epsilon, blocks):
+    """``solver._scan_best`` with one ``table_payoffs`` call per candidate; earliest wins ties.
+
+    ``blocks`` are ``C x b`` arrays of node ids; their rows are flattened into tuples in order.
+    """
     best_pay = -math.inf
     best = None
     total = 0
-    for cand in candidates:
+    for cand in (tuple(row) for nodes in blocks for row in nodes.tolist()):
         pay = table_payoffs(table, assemble_profile(i, cand, others), epsilon)[i]
         total += 1
         if pay > best_pay + IMPROVEMENT_TOL:
@@ -290,7 +293,8 @@ def scan_best_oracle(table, i, others, epsilon, candidates):
 
 def consensus_best_oracle(table, i, others, epsilon, b):
     """``solver._consensus_best`` by ``scan_best_oracle`` over every ``b``-set, in lexicographic order."""
-    return scan_best_oracle(table, i, others, epsilon, itertools.combinations(range(table.shape[1]), b))
+    combos = np.array(list(itertools.combinations(range(table.shape[1]), b)), dtype=np.intp)
+    return scan_best_oracle(table, i, others, epsilon, [combos])
 
 
 def exhaustive_nash_oracle(cfg, regime: str = "horizon"):

@@ -1,4 +1,7 @@
-"""The public API's size."""
+"""The public API's size, and which module knows a table's format."""
+
+import re
+from pathlib import Path
 
 import netinfluence
 
@@ -8,3 +11,14 @@ def test_public_api_has_at_most_41_names():
     assert len(netinfluence.__all__) <= 41
     assert len(set(netinfluence.__all__)) == len(netinfluence.__all__)
     assert all(hasattr(netinfluence, name) for name in netinfluence.__all__)
+
+
+def test_only_dynamics_tells_table_formats_apart():
+    # Dense and sparse tables are told apart in one module; the others read
+    # columns and sizes through its helpers.
+    source = Path(netinfluence.__file__).parent
+    for module in sorted(source.glob("*.py")):
+        if module.name == "dynamics.py":
+            continue
+        for number, line in enumerate(module.read_text(encoding="utf-8").splitlines(), start=1):
+            assert not re.search(r"isinstance\(.*ndarray|\.toarray\(", line), f"{module.name}:{number}"

@@ -26,7 +26,8 @@ from netinfluence import (
     utility_closed_form,
 )
 from netinfluence import dynamics
-from netinfluence.game import _cache_by_bytes, _table_bytes
+from netinfluence.dynamics import _table_bytes
+from netinfluence.game import _cache_by_bytes
 from oracles import payoffs_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -275,6 +276,13 @@ def test_payoff_table_is_cached_per_config():
     assert payoff_table(cfg, regime="consensus") is payoff_table(cfg, regime="consensus")
     with pytest.raises(ValueError, match="regime"):
         payoff_table(cfg, regime="instant")
+
+
+def test_consensus_row_is_cached_per_graph_whatever_alpha():
+    # c Gamma = c iff c W = c, so every alpha shares the stationary weights of its graph.
+    g = random_graph(9, 3, seed=31)
+    rows = [payoff_table(GameConfig(g, (1, 1), horizon=1, alpha=a), "consensus") for a in (0.1, 0.9)]
+    assert rows[0] is rows[1]
 
 
 def test_table_cache_evicts_least_recently_used_bytes_first():

@@ -14,6 +14,7 @@ import itertools
 import math
 from unittest import mock
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from netinfluence import (
     table_payoffs,
 )
 from netinfluence import solver
-from netinfluence.game import _candidate_payoffs, assemble_profile
+from netinfluence.game import _opponent_terms, _score, assemble_profile
 from oracles import consensus_best_oracle, exhaustive_nash_oracle, scan_best_oracle
 
 REGIMES = ("horizon", "consensus")
@@ -80,23 +81,21 @@ def test_kernel_matches_table_payoffs(game):
     cfg, i, others = game
     for regime in REGIMES:
         table = payoff_table(cfg, regime)
+        terms = _opponent_terms(table, others, cfg.epsilon)
         for size in range(1, min(cfg.budgets[i], cfg.n) + 1):
             candidates = list(itertools.combinations(range(cfg.n), size))
-            scored = [
-                (tuple(row), pay)
-                for nodes, pays in _candidate_payoffs(table, others, cfg.epsilon, candidates)
-                for row, pay in zip(nodes.tolist(), pays)
-            ]
-            assert [c for c, _ in scored] == candidates
-            for cand, pay in scored:
+            nodes = np.array(candidates, dtype=np.intp)
+            pays = _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
+            for cand, pay in zip(candidates, pays):
                 ref = table_payoffs(table, assemble_profile(i, cand, others), cfg.epsilon)[i]
                 assert abs(pay - ref) <= 1e-12, (regime, cand)
 
 
 @given(games())
 def test_best_responses_match_per_candidate_scan(game):
-    """Horizon-regime and greedy responses against the per-candidate scan; exact
-    consensus responses against scoring every full-budget set."""
+    """Horizon-regime and greedy responses against the per-candidate scan, also with
+    one candidate per block and chunk, so that ties fall across block boundaries;
+    exact consensus responses against scoring every full-budget set."""
     cfg, i, others = game
 
     def scanned():
@@ -106,6 +105,8 @@ def test_best_responses_match_per_candidate_scan(game):
 
     fast = scanned()
     with mock.patch.object(solver, "_scan_best", scan_best_oracle):
+        assert fast == scanned()
+    with mock.patch("netinfluence.game._CHUNK_BYTES", 1):
         assert fast == scanned()
 
     br = exact_best_response(cfg, i, others, regime="consensus")

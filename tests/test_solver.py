@@ -261,9 +261,11 @@ def test_exhaustive_finds_nothing_on_counterexample():
 
 
 def test_exhaustive_profiles_are_true_fixed_points():
-    g = random_graph(6, 2, seed=73)
+    g = random_graph(6, 2, seed=2)
     cfg = GameConfig(graph=g, budgets=(2, 1), horizon=2)
-    for profile in exhaustive_nash_check(cfg):
+    found = exhaustive_nash_check(cfg)
+    assert found  # one equilibrium, ({2, 5}, {2})
+    for profile in found:
         outcome = best_response_dynamics(cfg, profile)
         assert outcome.kind == "equilibrium"
         assert outcome.trace == ()

@@ -4,7 +4,7 @@ Patching ``dynamics.SPARSE_NODE_THRESHOLD`` to 1 builds every operator
 sparse, so horizon tables start from the sparse identity and stay compressed
 sparse column until they fill in.  The graphs below are sparse enough that
 their short-horizon tables stay compressed, which puts the column gather of
-``game._candidate_payoffs`` and the CLI's column output on the sparse path;
+``dynamics._columns`` (the kernel's and the CLI's) on the sparse path;
 every result must match the dense path's.
 """
 
@@ -32,7 +32,7 @@ from netinfluence import (
 )
 from netinfluence import dynamics, game
 from netinfluence.cli import main
-from netinfluence.game import _candidate_payoffs
+from netinfluence.game import _opponent_terms, _score
 from oracles import exhaustive_nash_oracle
 
 GRAPH = random_graph(60, 2, seed=5)
@@ -79,20 +79,21 @@ def test_tables_stay_sparse_until_a_quarter_fills_and_match_dense():
 def test_candidate_payoffs_match_dense(monkeypatch, horizon, size):
     cfg = GameConfig(GRAPH, (3, 2, 2), horizon=horizon)
     others = [frozenset({3, 17}), frozenset({17, 40})]
-    candidates = [(v,) for v in range(cfg.n)] if size == 1 else [
+    nodes = np.array([(v,) for v in range(cfg.n)] if size == 1 else [
         (u, v) for u in range(cfg.n) for v in range(u + 1, cfg.n)
-    ]
+    ], dtype=np.intp)
+
+    def scored(table):
+        return _score(table, _opponent_terms(table, others, cfg.epsilon), nodes, np.empty((1, len(nodes))))
+
     for chunk_bytes in (game._CHUNK_BYTES, 1):  # 1 byte: one candidate per chunk
         monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
-        expected = list(_candidate_payoffs(payoff_table(cfg), others, cfg.epsilon, candidates))
+        expected = scored(payoff_table(cfg))
         with sparse_operators():
             table = payoff_table(cfg)
             assert is_csc(table)
-            got = list(_candidate_payoffs(table, others, cfg.epsilon, candidates))
-        assert len(got) == len(expected)
-        for (nodes, pays), (ref_nodes, ref_pays) in zip(got, expected):
-            assert np.array_equal(nodes, ref_nodes)
-            assert np.max(np.abs(pays - ref_pays)) <= 1e-12
+            got = scored(table)
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
