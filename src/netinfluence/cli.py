@@ -28,7 +28,7 @@ from .dynamics import (
     influence_matrix,
     initialize,
 )
-from .game import _CHUNK_BYTES, GameConfig, StrategyProfile, _mixing_matrix, _shares, check_profile
+from .game import GameConfig, StrategyProfile, _chunk_items, _mixing_matrix, _shares, check_profile
 from .graph import Graph, GraphFormatError, build_counterexample, dump_graph, load_graph, random_graph
 from .solver import (
     best_response_dynamics,
@@ -224,7 +224,7 @@ def cmd_centrality(args) -> int:
         report.line(f"weight_sum {fmt(weights.sum())}")
     else:
         table = diffusion_centrality_matrix(gamma, args.horizon)
-        step = max(1, _CHUNK_BYTES // (8 * g.node_count))  # columns gathered at a time
+        step = _chunk_items(g.node_count)  # columns gathered at a time
         for nodes in np.split(np.arange(g.node_count), range(step, g.node_count, step)):
             for v, column in zip(nodes.tolist(), _columns(table, nodes).tolist()):
                 report.line(f"influence {v} " + " ".join(map(fmt, column)))

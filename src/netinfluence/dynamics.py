@@ -170,37 +170,42 @@ def _scipy_sparse():
     return sparse
 
 
-def _identity(gamma: InfluenceMatrix) -> np.ndarray | _sparse.csr_matrix:
-    """The identity in the operator's format."""
+def _identity(gamma: InfluenceMatrix, format: str = "csr") -> np.ndarray | _sparse.spmatrix:
+    """The identity: dense for a dense operator, else sparse in ``format``."""
     if isinstance(gamma.entries, np.ndarray):
         return np.eye(gamma.n)
-    return _scipy_sparse().identity(gamma.n, format="csr")
+    return _scipy_sparse().identity(gamma.n, format=format)
 
 
 def diffusion_centrality_matrix(
-    gamma: InfluenceMatrix, t_steps: int
+    gamma: InfluenceMatrix, t_steps: int, _start=None
 ) -> np.ndarray | _sparse.csc_matrix:
     """Influence table after ``t_steps`` steps: the ``t``-th operator power.
 
     Column ``u`` is how much source ``u``'s initial opinion shapes every node;
     each row sums to one.  ``table @ x`` equals ``evolve`` of the opinion
     matrix ``x`` for ``t_steps``.  Built by ``t_steps`` successive products
-    with the operator, starting from the identity.  A dense operator gives a
-    dense table.  A sparse operator starts from the sparse identity and
-    returns a compressed sparse column matrix, unless the power fills in: once
-    more than a quarter of its entries are nonzero it turns dense and the
-    remaining products are dense.  Either way the entries equal those of the
-    dense products.
+    with the operator, starting from the identity or from ``_start``, a table
+    this function built from the same operator at a lower horizon; ``_start``
+    is never changed, and extending it runs the same products as a build from
+    the identity.  A dense operator gives a dense table.  A sparse operator is
+    multiplied in compressed sparse column form, starting from the sparse
+    identity, so the table is compressed sparse column, unless the power
+    fills in: once more than a quarter of its entries are nonzero it turns
+    dense and the remaining products are dense.  Either way the entries equal
+    those of the dense products within rounding.
     """
     if t_steps < 0:
         raise ValueError("t_steps must be non-negative")
-    n = gamma.n
-    table = _identity(gamma)
+    n, op = gamma.n, gamma.entries
+    if not isinstance(op, np.ndarray):
+        op = op.tocsc()  # a product of two compressed sparse column matrices is one too
+    table = _identity(gamma, "csc") if _start is None else _start
     for _ in range(t_steps):
-        table = gamma.entries @ table
+        table = op @ table
         if not isinstance(table, np.ndarray) and 4 * table.nnz > n * n:
             table = table.toarray()
-    return table if isinstance(table, np.ndarray) else table.tocsc()
+    return table
 
 
 def _columns(table, nodes: np.ndarray) -> np.ndarray:

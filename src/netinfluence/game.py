@@ -166,16 +166,23 @@ def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int],
 
 
 def _cache_by_bytes(max_bytes: int):
-    """Memoize a table builder by its arguments, bounded by the tables' bytes.
+    """Memoize a table builder by its arguments, bounded by the bytes its entries hold.
 
-    Once the tables held pass ``max_bytes``, the least recently used ones are
-    evicted first; the newest table is always kept, however large.  Like
-    ``lru_cache``, the wrapper has a ``cache_clear`` method.
+    An entry holds its table and the ``src``, ``dst`` and ``weight`` arrays of
+    every ``Graph`` in its key, which the cache keeps alive.  Once the entries
+    pass ``max_bytes``, the least recently used ones are evicted first; the
+    newest entry is always kept, however large.  Like ``lru_cache``, the
+    wrapper has a ``cache_clear`` method; its ``lookup`` method returns a
+    cached table, or None, without building or reordering anything.
     """
+
+    def entry_bytes(key, table) -> int:
+        graphs = [k for k in key if isinstance(k, Graph)]
+        return dynamics._table_bytes(table) + sum(g.src.nbytes + g.dst.nbytes + g.weight.nbytes for g in graphs)
 
     def decorate(build):
         tables: OrderedDict = OrderedDict()
-        held = 0  # bytes of the tables in ``tables``, kept so a miss costs O(1), not O(entries)
+        held = 0  # bytes of the entries in ``tables``, kept so a miss costs O(1), not O(entries)
 
         @wraps(build)
         def cached(*key):
@@ -183,9 +190,9 @@ def _cache_by_bytes(max_bytes: int):
             table = tables.get(key)
             if table is None:
                 table = tables[key] = build(*key)
-                held += dynamics._table_bytes(table)
+                held += entry_bytes(key, table)
                 while len(tables) > 1 and held > max_bytes:
-                    held -= dynamics._table_bytes(tables.popitem(last=False)[1])
+                    held -= entry_bytes(*tables.popitem(last=False))
             else:
                 tables.move_to_end(key)
             return table
@@ -196,13 +203,16 @@ def _cache_by_bytes(max_bytes: int):
             held = 0
 
         cached.cache_clear = cache_clear
+        cached.lookup = lambda *key: tables.get(key)
         return cached
 
     return decorate
 
 
 # Each cache holds 256 MiB: three dense horizon tables at 3000 nodes, or eight dense
-# operators or tables at the sparse-operator threshold.
+# operators or tables at the sparse-operator threshold.  Above the threshold horizon
+# tables are built compressed sparse column, about 11.5 MB at 3000 nodes and horizon 4
+# on out-degree 4, so a sweep keeps its lower horizons cached for the next to extend.
 @_cache_by_bytes(1 << 28)
 def _mixing_matrix(graph: Graph, alpha: float):
     return influence_matrix(graph, alpha)
@@ -210,7 +220,12 @@ def _mixing_matrix(graph: Graph, alpha: float):
 
 @_cache_by_bytes(1 << 28)
 def _horizon_table(graph: Graph, alpha: float, horizon: int) -> np.ndarray | _sparse.csc_matrix:
-    return diffusion_centrality_matrix(_mixing_matrix(graph, alpha), horizon)
+    # Extend the highest horizon below this one still cached for the graph and
+    # alpha: the same products as from the identity, without redoing the first.
+    lower, start = horizon - 1, None
+    while lower > 0 and (start := _horizon_table.lookup(graph, alpha, lower)) is None:
+        lower -= 1
+    return diffusion_centrality_matrix(_mixing_matrix(graph, alpha), horizon - lower, _start=start)
 
 
 # One row per graph (c Gamma = c iff c W = c), from the alpha = 1/2 operator: exactly the lazy walk (I + W) / 2.
@@ -228,8 +243,10 @@ def payoff_table(cfg: GameConfig, regime: str = "horizon") -> np.ndarray | _spar
     or a compressed sparse column matrix while it stays sparse on graphs above
     ``dynamics.SPARSE_NODE_THRESHOLD`` (see ``diffusion_centrality_matrix``);
     the consensus row is always dense.  Horizon tables are cached within a
-    byte budget, least recently used evicted first.  Treat the result as
-    read-only.
+    byte budget, least recently used evicted first, and a horizon table is
+    built by extending the highest lower horizon still cached for the same
+    graph and alpha, which gives the entries a build from the identity would.
+    Treat the result as read-only.
     """
     if regime == "horizon":
         return _horizon_table(cfg.graph, cfg.alpha, cfg.horizon)
@@ -259,6 +276,11 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
 # Bytes of table columns gathered per kernel chunk: large enough to amortize
 # numpy's per-call overhead, small enough to stay in cache and keep peak memory flat.
 _CHUNK_BYTES = 1 << 17
+
+
+def _chunk_items(floats: int) -> int:
+    """How many items of ``floats`` float64 values fill about ``_CHUNK_BYTES``; at least one."""
+    return max(1, _CHUNK_BYTES // (8 * floats))
 
 
 def _response_terms(table: np.ndarray, counts: np.ndarray, m: int, epsilon: float):
@@ -292,11 +314,11 @@ def _score(table: np.ndarray, terms, nodes: np.ndarray, out: np.ndarray) -> np.n
     own_base, total_base, own_gain, total_gain = terms
     height = table.shape[0]
     count, size = nodes.shape
-    step = max(1, _CHUNK_BYTES // (8 * size * height))
+    step = _chunk_items(size * height)
     for start in range(0, count, step):
         chunk = nodes[start : start + step]
         block = dynamics._columns(table, chunk)
-        span = max(1, _CHUNK_BYTES // (8 * len(chunk) * height))
+        span = _chunk_items(len(chunk) * height)
         for first in range(0, len(out), span):
             k = slice(first, first + span)
             own = own_gain[k].T[chunk].transpose(0, 2, 1) @ block  # c x k x rows

@@ -89,7 +89,7 @@ class NashOutcome:
 def _combinations(n: int, b: int):
     """``itertools.combinations(range(n), b)`` as ``C x b`` node-id arrays of about ``game._CHUNK_BYTES``."""
     ids = itertools.chain.from_iterable(itertools.combinations(range(n), b))
-    rows = max(1, game._CHUNK_BYTES // (8 * b))
+    rows = game._chunk_items(b)
     while len(block := np.fromiter(itertools.islice(ids, rows * b), np.intp)):
         yield block.reshape(-1, b)
 
@@ -306,7 +306,7 @@ def exhaustive_nash_check(
         )
     options = [np.concatenate(list(_combinations(cfg.n, b))) for b in sizes]
     table = payoff_table(cfg, regime)
-    step = max(1, game._CHUNK_BYTES // (8 * cfg.n))  # opponent combinations whose terms fill a chunk
+    step = game._chunk_items(cfg.n)  # opponent combinations whose terms fill a chunk
     stable = np.ones(shape, dtype=bool)
     for j in range(cfg.m):
         rest = [k for k in range(cfg.m) if k != j]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from netinfluence import (
     utility,
     utility_closed_form,
 )
-from netinfluence import dynamics
+from netinfluence import Graph, dynamics
 from netinfluence.dynamics import _table_bytes
 from netinfluence.game import _cache_by_bytes
 from oracles import payoffs_oracle
@@ -320,6 +321,24 @@ def test_table_cache_evicts_least_recently_used_bytes_first():
     first = identity(100)
     identity(10)
     assert identity(100) is first
+
+
+def test_table_cache_counts_the_graphs_its_keys_keep_alive():
+    sizes = (47, 53, 59)  # node counts no other graph here has, to find these among live objects
+
+    def live():
+        return sorted(o.node_count for o in gc.get_objects() if isinstance(o, Graph) and o.node_count in sizes)
+
+    @_cache_by_bytes(1000)  # under one graph's arrays: 3n edges of 24 bytes each
+    def table(graph):
+        return np.zeros(1)
+
+    for n in sizes:
+        newest = random_graph(n, 3, seed=n)
+        table(newest)
+    gc.collect()
+    assert live() == [59]  # the newest entry is kept; the older graphs are evicted and freed
+    assert table.lookup(newest) is not None and table.lookup(random_graph(47, 3, seed=47)) is None
 
 
 @pytest.mark.parametrize("threshold", [dynamics.SPARSE_NODE_THRESHOLD, 1], ids=["dense", "csr"])

@@ -5,7 +5,9 @@ sparse, so horizon tables start from the sparse identity and stay compressed
 sparse column until they fill in.  The graphs below are sparse enough that
 their short-horizon tables stay compressed, which puts the column gather of
 ``dynamics._columns`` (the kernel's and the CLI's) on the sparse path;
-every result must match the dense path's.
+every result must match the dense path's.  A horizon table extends the
+highest cached one below it, in either format, and must equal a build from
+the identity.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from netinfluence import (
     load_graph,
     payoff_table,
     random_graph,
+    utility,
+    utility_closed_form,
 )
 from netinfluence import dynamics, game
 from netinfluence.cli import main
@@ -39,13 +43,14 @@ GRAPH = random_graph(60, 2, seed=5)
 
 
 @contextlib.contextmanager
-def sparse_operators():
-    """Build every operator sparse, with the library's caches empty on entry and exit."""
+def sparse_operators(threshold=1):
+    """Build operators above ``threshold`` nodes sparse (by default every one), with the
+    library's caches empty on entry and exit."""
     caches = (game._mixing_matrix, game._horizon_table, game._consensus_table)
     for cache in caches:
         cache.cache_clear()
     try:
-        with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", 1):
+        with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", threshold):
             yield
     finally:
         for cache in caches:
@@ -164,3 +169,97 @@ def test_centrality_horizon_prints_identically(capsys, tmp_path):
         assert is_csc(diffusion_centrality_matrix(influence_matrix(GRAPH, 0.5), 2))
         sparse = payload()
     assert sparse == dense
+
+
+FORMATS = pytest.mark.parametrize("threshold", [1, dynamics.SPARSE_NODE_THRESHOLD], ids=["csc", "dense"])
+PROFILE = [frozenset({3, 17}), frozenset({40})]
+
+
+def horizon_cfg(h):
+    return GameConfig(GRAPH, (2, 1), horizon=h, alpha=0.3)
+
+
+def requested(order):
+    """Table and closed-form payoffs at each horizon of ``order``, requested in that order."""
+    return {h: (payoff_table(horizon_cfg(h)), utility_closed_form(horizon_cfg(h), PROFILE)) for h in order}
+
+
+def from_the_identity(threshold, horizons):
+    """``requested`` with the horizon-table cache emptied before each horizon."""
+    built = {}
+    with sparse_operators(threshold):
+        for h in horizons:
+            game._horizon_table.cache_clear()
+            built.update(requested([h]))
+    return built
+
+
+def assert_same(got, expected):
+    for h, (table, pay) in expected.items():
+        assert is_csc(got[h][0]) == is_csc(table), h
+        dense = [t.toarray() if is_csc(t) else t for t in (got[h][0], table)]
+        assert np.array_equal(*dense) and np.array_equal(got[h][1], pay), h
+
+
+@FORMATS
+@pytest.mark.parametrize("order", [(4, 2, 3, 1, 6), (1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)])
+def test_extended_tables_equal_tables_built_from_the_identity(threshold, order):
+    expected = from_the_identity(threshold, order)
+    with sparse_operators(threshold):
+        got = requested(order)
+    assert_same(got, expected)
+    if threshold == 1:  # the sweep crosses the switch to dense
+        assert is_csc(got[1][0]) and not is_csc(got[6][0])
+
+
+@FORMATS
+def test_extending_a_table_leaves_the_lower_one_unchanged(threshold):
+    with sparse_operators(threshold):
+        lower = payoff_table(horizon_cfg(2))
+        arrays = (lower.data, lower.indices, lower.indptr) if is_csc(lower) else (lower,)
+        before = [a.copy() for a in arrays]
+        payoff_table(horizon_cfg(5))
+        assert game._horizon_table.lookup(GRAPH, 0.3, 2) is lower
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+@FORMATS
+def test_lower_tables_evicted_mid_sweep_give_the_same_tables(monkeypatch, threshold):
+    order = (2, 4, 1, 3, 6, 5)
+    expected = from_the_identity(threshold, order)
+    # A 1-byte budget keeps only the newest table, so each horizon extends the one
+    # requested just before it, if lower, and starts from the identity otherwise.
+    tiny = game._cache_by_bytes(1)(game._horizon_table.__wrapped__)
+    monkeypatch.setattr(game, "_horizon_table", tiny)
+    with sparse_operators(threshold):
+        got = {}
+        for previous, h in zip((None,) + order, order):
+            got.update(requested([h]))
+            assert previous is None or tiny.lookup(GRAPH, 0.3, previous) is None
+    assert_same(got, expected)
+
+
+@FORMATS
+def test_a_horizon_sweep_runs_one_product_per_horizon(monkeypatch, threshold):
+    steps = []
+    build = game.diffusion_centrality_matrix
+
+    def counted(gamma, t_steps, **kw):
+        steps.append(t_steps)  # one operator product per step
+        return build(gamma, t_steps, **kw)
+
+    monkeypatch.setattr(game, "diffusion_centrality_matrix", counted)
+    with sparse_operators(threshold):
+        requested((1, 2, 3, 4))
+    assert steps == [1, 1, 1, 1]  # 4 products; from the identity each time, 1 + 2 + 3 + 4 = 10
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_simulation_matches_extended_tables_on_a_large_graph(seed):
+    graph = random_graph(3000, 4, seed)
+    profile = [{1, 2, 3}, {10, 20, 30}]
+    with sparse_operators(dynamics.SPARSE_NODE_THRESHOLD):
+        for h in range(1, 7):
+            cfg = GameConfig(graph, (3, 3), horizon=h)
+            assert np.max(np.abs(utility(cfg, profile) - utility_closed_form(cfg, profile))) <= 1e-10, h
+        assert is_csc(payoff_table(GameConfig(graph, (3, 3), horizon=1)))
