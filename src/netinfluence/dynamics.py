@@ -13,7 +13,7 @@ opinion converges toward.
 Operators are dense numpy arrays up to ``SPARSE_NODE_THRESHOLD`` nodes and
 ``scipy.sparse`` matrices above it.  scipy is imported only when a graph
 above the threshold builds its operator, so small-graph runs never load it.
-Only this module tells the formats apart (``_columns``, ``_table_bytes``).
+Only this module tells the formats apart (``_columns``, ``_entries``, ``_table_bytes``).
 """
 
 from __future__ import annotations
@@ -184,14 +184,14 @@ def diffusion_centrality_matrix(
 
     Column ``u`` is how much source ``u``'s initial opinion shapes every node;
     each row sums to one.  ``table @ x`` equals ``evolve`` of the opinion
-    matrix ``x`` for ``t_steps``.  Built by ``t_steps`` successive products
-    with the operator, starting from the identity or from ``_start``, a table
-    this function built from the same operator at a lower horizon; ``_start``
-    is never changed, and extending it runs the same products as a build from
-    the identity.  A dense operator gives a dense table.  A sparse operator is
-    multiplied in compressed sparse column form, starting from the sparse
-    identity, so the table is compressed sparse column, unless the power
-    fills in: once more than a quarter of its entries are nonzero it turns
+    matrix ``x`` for ``t_steps``.  Built from a copy of the operator by
+    ``t_steps - 1`` products with it (the identity for no steps), or by
+    ``t_steps`` products from ``_start``, a table this function built from the
+    same operator at a lower horizon, which is never changed and gives the
+    entries a build from scratch would.  A dense operator gives a dense table.
+    A sparse operator is multiplied in compressed sparse column form, so the
+    table is compressed sparse column, unless the power fills in: once more
+    than a quarter of its entries are nonzero (the copy's included) it turns
     dense and the remaining products are dense.  Either way the entries equal
     those of the dense products within rounding.
     """
@@ -200,12 +200,12 @@ def diffusion_centrality_matrix(
     n, op = gamma.n, gamma.entries
     if not isinstance(op, np.ndarray):
         op = op.tocsc()  # a product of two compressed sparse column matrices is one too
-    table = _identity(gamma, "csc") if _start is None else _start
+    table = _start
     for _ in range(t_steps):
-        table = op @ table
+        table = op.copy() if table is None else op @ table
         if not isinstance(table, np.ndarray) and 4 * table.nnz > n * n:
             table = table.toarray()
-    return table
+    return _identity(gamma, "csc") if table is None else table
 
 
 def _columns(table, nodes: np.ndarray) -> np.ndarray:
@@ -220,6 +220,23 @@ def _columns(table, nodes: np.ndarray) -> np.ndarray:
     cells = np.repeat(np.arange(flat.size) * height, sizes) + table.indices[at]
     block = np.bincount(cells, weights=table.data[at], minlength=flat.size * height)
     return block.reshape(nodes.shape + (height,))
+
+
+def _entries(table, items: int):
+    """A dense or compressed sparse column ``table``'s nonzero entries as ``(columns, rows, values)``
+    arrays, in blocks of whole columns of about ``items`` entries (a dense block: ``items`` cells)."""
+    height, width = table.shape
+    if isinstance(table, np.ndarray):
+        for first in range(0, width, step := max(1, items // height)):
+            block = np.ascontiguousarray(table.T[first : first + step])
+            cols, rows = np.divmod(at := np.flatnonzero(block != 0), height)
+            yield cols + first, rows, block.ravel()[at]
+        return
+    indptr = table.indptr  # cut before the column holding every items-th entry
+    cuts = np.unique(np.append(np.searchsorted(indptr, np.arange(0, table.nnz, items), "right") - 1, width))
+    for first, last in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        at = slice(indptr[first], indptr[last])
+        yield np.repeat(np.arange(first, last), np.diff(indptr[first : last + 1])), table.indices[at], table.data[at]
 
 
 def _table_bytes(table) -> int:

@@ -12,7 +12,6 @@ constant-sum: payoffs always total one.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import wraps
@@ -221,7 +220,7 @@ def _mixing_matrix(graph: Graph, alpha: float):
 @_cache_by_bytes(1 << 28)
 def _horizon_table(graph: Graph, alpha: float, horizon: int) -> np.ndarray | _sparse.csc_matrix:
     # Extend the highest horizon below this one still cached for the graph and
-    # alpha: the same products as from the identity, without redoing the first.
+    # alpha: the same products as from scratch, without redoing the first.
     lower, start = horizon - 1, None
     while lower > 0 and (start := _horizon_table.lookup(graph, alpha, lower)) is None:
         lower -= 1
@@ -245,7 +244,7 @@ def payoff_table(cfg: GameConfig, regime: str = "horizon") -> np.ndarray | _spar
     the consensus row is always dense.  Horizon tables are cached within a
     byte budget, least recently used evicted first, and a horizon table is
     built by extending the highest lower horizon still cached for the same
-    graph and alpha, which gives the entries a build from the identity would.
+    graph and alpha, which gives the entries a build from scratch would.
     Treat the result as read-only.
     """
     if regime == "horizon":
@@ -275,7 +274,7 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
 
 # Bytes of table columns gathered per kernel chunk: large enough to amortize
 # numpy's per-call overhead, small enough to stay in cache and keep peak memory flat.
-_CHUNK_BYTES = 1 << 17
+_CHUNK_BYTES = 1 << 18
 
 
 def _chunk_items(floats: int) -> int:
@@ -301,10 +300,16 @@ def _response_terms(table: np.ndarray, counts: np.ndarray, m: int, epsilon: floa
     return epsilon * z, p + m * epsilon * z, own_gain, total_gain
 
 
+def _seed_counts(n: int, picks) -> np.ndarray:
+    """``K x n`` seed counts of ``K`` opponent configurations from one ``K x b`` node-id array per opponent."""
+    cells = np.concatenate([(np.arange(len(p))[:, None] * n + p).ravel() for p in picks])
+    return np.bincount(cells, minlength=len(picks[0]) * n).reshape(-1, n)
+
+
 def _opponent_terms(table: np.ndarray, others, epsilon: float):
     """``_response_terms`` of the one opponent configuration ``others``: seed sets in player order."""
-    counts = np.bincount(np.fromiter(itertools.chain.from_iterable(others), np.intp), minlength=table.shape[1])
-    return _response_terms(table, counts[None], len(others) + 1, epsilon)
+    counts = _seed_counts(table.shape[1], [np.fromiter(s, np.intp)[None] for s in others])
+    return _response_terms(table, counts, len(others) + 1, epsilon)
 
 
 def _score(table: np.ndarray, terms, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:

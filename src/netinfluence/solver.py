@@ -6,30 +6,30 @@ enumeration orders are fixed, ties break toward lexicographically smallest
 seed sets (lowest node id for the greedy scan).
 
 One batched kernel, ``game._score``, rates arrays of candidate node ids
-against a stack of opponent configurations, chunk by chunk.  ``_scan_best``
-feeds it against fixed opponents: the horizon-regime exact scan's blocks of
-combinations (``_combinations``) and greedy's one array per step.
-``exhaustive_nash_check`` makes one pass per player; consensus exact best
-responses sort node scores built from the same terms (``_consensus_best``).
+against a stack of opponent configurations, chunk by chunk: ``_scan_best``
+feeds it the exact scan's blocks of combinations (``_combinations``), and
+``exhaustive_nash_check`` makes one pass per player.  Consensus exact best
+responses sort node scores built from the same terms (``_consensus_best``);
+greedy scores free nodes from the table's nonzero entries (``dynamics._entries``).
 A best response's reported payoff is its winner's ``table_payoffs`` value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import game
+from . import dynamics, game
 from .game import (
     GameConfig,
     StrategyProfile,
     _opponent_terms,
     _response_terms,
     _score,
+    _seed_counts,
     as_profile,
     assemble_profile,
     check_opponents,
@@ -87,34 +87,38 @@ class NashOutcome:
 
 
 def _combinations(n: int, b: int):
-    """``itertools.combinations(range(n), b)`` as ``C x b`` node-id arrays of about ``game._CHUNK_BYTES``."""
-    ids = itertools.chain.from_iterable(itertools.combinations(range(n), b))
-    rows = game._chunk_items(b)
-    while len(block := np.fromiter(itertools.islice(ids, rows * b), np.intp)):
-        yield block.reshape(-1, b)
+    """``itertools.combinations(range(n), b)`` as ``C x b`` node-id arrays of about ``game._CHUNK_BYTES``; rank
+    ``r`` is nodes ``n - 1 - a_j`` for ``C(n, b) - 1 - r = sum_j C(a_j, b - j)``, each ``a_j`` greedily largest."""
+    total, binomials = math.comb(n, b), [np.ones(n, dtype=np.int64)]  # [k][a] = min(C(a, k), total), exact in int64
+    for _ in range(b):
+        binomials.append(np.minimum(np.concatenate(([0], np.cumsum(binomials[-1])[:-1])), total))
+    for start in range(0, total, rows := game._chunk_items(b)):
+        rest, nodes = total - 1 - np.arange(start, min(start + rows, total)), []
+        for column in binomials[:0:-1]:
+            a = np.searchsorted(column, rest, "right") - 1
+            rest -= column[a]
+            nodes.append(n - 1 - a)
+        yield np.column_stack(nodes)
+
+
+def _lead(pays, best_pay):
+    """Index (or None) of the last of ``pays`` to top the running best, from ``best_pay``, by the margin; the best."""
+    won, ahead = None, np.concatenate(([-math.inf], np.maximum.accumulate(pays)[:-1]))
+    for k in np.flatnonzero(pays > np.maximum(ahead, best_pay + IMPROVEMENT_TOL)):
+        if pays[k] > best_pay + IMPROVEMENT_TOL:
+            best_pay, won = pays[k], k
+    return won, best_pay
 
 
 def _scan_best(table, i, others, epsilon, blocks):
-    """Best payoff, best candidate and candidates scored for player ``i``; earliest wins ties.
-
-    ``blocks`` is an iterable of ``C x b`` arrays of candidate node ids.  A
-    candidate wins only by beating the best so far by more than
-    ``IMPROVEMENT_TOL``, so only a block's strict running maxima can win.  The
-    winner is scored again with ``table_payoffs``, whose value is reported.
-    """
-    terms = _opponent_terms(table, others, epsilon)
-    best_pay = -math.inf
-    best = None
-    total = 0
+    """Best payoff, best candidate and candidates scored for player ``i`` over ``blocks`` of ``C x b`` node
+    ids, earliest winning ties (``_lead``); the payoff is the winner's ``table_payoffs`` value."""
+    terms, best_pay, best, total = _opponent_terms(table, others, epsilon), -math.inf, None, 0
     for nodes in blocks:
         pays = _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
-        total += len(pays)
-        ahead = np.concatenate(([-math.inf], np.maximum.accumulate(pays)[:-1]))
-        for k in np.flatnonzero(pays > np.maximum(ahead, best_pay + IMPROVEMENT_TOL)):
-            if pays[k] > best_pay + IMPROVEMENT_TOL:
-                best_pay, best = pays[k], tuple(nodes[k].tolist())
-    best_pay = table_payoffs(table, assemble_profile(i, best, others), epsilon)[i]
-    return best_pay, best, total
+        k, best_pay = _lead(pays, best_pay)
+        best, total = best if k is None else tuple(nodes[k].tolist()), total + len(pays)
+    return table_payoffs(table, assemble_profile(i, best, others), epsilon)[i], best, total
 
 
 def _consensus_best(table, i, others, epsilon, b):
@@ -205,21 +209,27 @@ def greedy_best_response(
 
     Payoffs are monotone and submodular in a player's seed set, so the greedy
     set is guaranteed at least a ``1 - 1/e`` fraction of the exact optimum,
-    and with budget one it is exact.  Ties go to the lowest node id.  The
-    evaluation count is ``n + (n-1) + ... + (n-b+1)``.
+    and with budget one it is exact.  Ties go to the lowest node id; ``n + (n-1)
+    + ... + (n-b+1)`` candidates are counted.  Adding ``v`` changes only the rows of
+    column ``v``'s nonzero entries, so one pass over them scores every free node.
     """
     others = check_opponents(cfg, i, s_minus_i)
     table = payoff_table(cfg, regime)
-    b = min(cfg.budgets[i], cfg.n)
-    chosen: tuple[int, ...] = ()
-    evaluations = 0
-    for _ in range(b):
-        # Candidates extend the chosen nodes in pick order: payoffs ignore node order.
-        free = np.delete(np.arange(cfg.n), chosen)
-        nodes = np.column_stack([np.full(len(free), v) for v in chosen] + [free])
-        payoff, chosen, count = _scan_best(table, i, others, cfg.epsilon, [nodes])
-        evaluations += count
-    return BestResponse(frozenset(chosen), payoff, evaluations)
+    own, total, own_gain, total_gain = (x[0] for x in _opponent_terms(table, others, cfg.epsilon))
+    free = np.ones(cfg.n, dtype=bool)
+    for _ in range(min(cfg.budgets[i], cfg.n)):
+        ratio, gains = own / total, np.zeros(cfg.n)
+        for cols, rows, vals in dynamics._entries(table, game._chunk_items(1)):
+            moved = (own[rows] + vals * own_gain[cols]) / (total[rows] + vals * total_gain[cols])
+            gains += np.bincount(cols, weights=moved - ratio[rows], minlength=cfg.n)
+        ids = np.flatnonzero(free)
+        v = ids[_lead(gains[ids] / len(own), -math.inf)[0]]
+        column = dynamics._columns(table, np.array([v]))[0]
+        own, total = own + column * own_gain[v], total + column * total_gain[v]
+        free[v] = False
+    chosen = np.flatnonzero(~free).tolist()
+    payoff = table_payoffs(table, assemble_profile(i, chosen, others), cfg.epsilon)[i]
+    return BestResponse(frozenset(chosen), payoff, sum(cfg.n - k for k in range(len(chosen))))
 
 
 def best_response_dynamics(
@@ -315,9 +325,7 @@ def exhaustive_nash_check(
         pays = np.empty((picks.shape[1], shape[j]))
         for start in range(0, len(pays), step):
             combos = picks[:, start : start + step]
-            counts = np.zeros((combos.shape[1], cfg.n))
-            for k, x in zip(rest, combos):
-                counts[np.arange(len(x))[:, None], options[k][x]] += 1.0
+            counts = _seed_counts(cfg.n, [options[k][x] for k, x in zip(rest, combos)])
             terms = _response_terms(table, counts, cfg.m, cfg.epsilon)
             _score(table, terms, options[j], pays[start : start + step])
         best = pays >= pays.max(axis=1, keepdims=True) - IMPROVEMENT_TOL

@@ -11,10 +11,11 @@ package's array-built generators.
 ``validate_oracle`` checks a graph with adjacency lists and two graph searches.
 ``load_graph_oracle`` parses an edge list one line and one edge at a time, the
 way the package did before it stored graphs as arrays.
-``scan_best_oracle``, ``consensus_best_oracle`` and ``exhaustive_nash_oracle``
-are the exceptions: they are the solver loops that score one candidate or one
-profile per ``table_payoffs`` call, kept to pin the batched scoring kernel and
-the sorting consensus responder to them.
+``scan_best_oracle``, ``consensus_best_oracle``, ``greedy_oracle`` and
+``exhaustive_nash_oracle`` are the exceptions: they are the solver loops that
+score one candidate or one profile per ``table_payoffs`` call, kept to pin the
+batched scoring kernel, the sorting consensus responder and the support-scoring
+greedy to them.
 """
 
 from __future__ import annotations
@@ -289,6 +290,18 @@ def scan_best_oracle(table, i, others, epsilon, blocks):
         if pay > best_pay + IMPROVEMENT_TOL:
             best_pay, best = pay, cand
     return best_pay, best, total
+
+
+def greedy_oracle(table, i, others, epsilon, b):
+    """``solver.greedy_best_response``'s payoff, seed set and evaluations: each step scores
+    every free node added to the chosen ones by ``scan_best_oracle``, lowest id winning ties."""
+    chosen, evaluations = (), 0
+    for _ in range(b):
+        free = [v for v in range(table.shape[1]) if v not in chosen]
+        nodes = np.array([chosen + (v,) for v in free], dtype=np.intp)
+        payoff, chosen, count = scan_best_oracle(table, i, others, epsilon, [nodes])
+        evaluations += count
+    return payoff, chosen, evaluations
 
 
 def consensus_best_oracle(table, i, others, epsilon, b):

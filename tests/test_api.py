@@ -15,10 +15,10 @@ def test_public_api_has_at_most_41_names():
 
 def test_only_dynamics_tells_table_formats_apart():
     # Dense and sparse tables are told apart in one module; the others read
-    # columns and sizes through its helpers.
+    # columns, nonzero entries and sizes through its helpers.
     source = Path(netinfluence.__file__).parent
     for module in sorted(source.glob("*.py")):
         if module.name == "dynamics.py":
             continue
         for number, line in enumerate(module.read_text(encoding="utf-8").splitlines(), start=1):
-            assert not re.search(r"isinstance\(.*ndarray|\.toarray\(", line), f"{module.name}:{number}"
+            assert not re.search(r"isinstance\(.*ndarray|\.toarray\(|\.indptr|np\.nonzero\(", line), f"{module.name}:{number}"

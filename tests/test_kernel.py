@@ -33,7 +33,7 @@ from netinfluence import (
 )
 from netinfluence import solver
 from netinfluence.game import _opponent_terms, _score, assemble_profile
-from oracles import consensus_best_oracle, exhaustive_nash_oracle, scan_best_oracle
+from oracles import consensus_best_oracle, exhaustive_nash_oracle, greedy_oracle, scan_best_oracle
 
 REGIMES = ("horizon", "consensus")
 
@@ -93,10 +93,11 @@ def test_kernel_matches_table_payoffs(game):
 
 @given(games())
 def test_best_responses_match_per_candidate_scan(game):
-    """Horizon-regime and greedy responses against the per-candidate scan, also with
-    one candidate per block and chunk, so that ties fall across block boundaries;
-    exact consensus responses against scoring every full-budget set."""
+    """Horizon-regime exact and greedy responses in both regimes against the per-candidate
+    scans, also with one candidate, or one table column, per block and chunk, so that ties
+    fall across block boundaries; exact consensus responses against scoring every full-budget set."""
     cfg, i, others = game
+    b = min(cfg.budgets[i], cfg.n)
 
     def scanned():
         return [exact_best_response(cfg, i, others)] + [
@@ -105,13 +106,16 @@ def test_best_responses_match_per_candidate_scan(game):
 
     fast = scanned()
     with mock.patch.object(solver, "_scan_best", scan_best_oracle):
-        assert fast == scanned()
+        assert fast[0] == scanned()[0]
+    for regime, br in zip(REGIMES, fast[1:]):
+        payoff, best, evaluations = greedy_oracle(payoff_table(cfg, regime), i, others, cfg.epsilon, b)
+        assert br == solver.BestResponse(frozenset(best), payoff, evaluations), regime
     with mock.patch("netinfluence.game._CHUNK_BYTES", 1):
         assert fast == scanned()
 
     br = exact_best_response(cfg, i, others, regime="consensus")
     table = payoff_table(cfg, "consensus")
-    payoff, best, _ = consensus_best_oracle(table, i, others, cfg.epsilon, min(cfg.budgets[i], cfg.n))
+    payoff, best, _ = consensus_best_oracle(table, i, others, cfg.epsilon, b)
     assert br.strategy == frozenset(best)
     assert abs(br.payoff - payoff) <= 1e-12
     assert br.evaluations == cfg.n

@@ -30,7 +30,7 @@ from netinfluence import (
     utility,
     utility_closed_form,
 )
-from netinfluence import game
+from netinfluence import game, solver
 from oracles import singleton_equilibria_oracle, stationary_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -87,6 +87,19 @@ def test_exact_evaluation_count_and_cap():
     assert br.evaluations == math.comb(10, 3)
     with pytest.raises(EnumerationCapError, match="cap"):
         exact_best_response(cfg, 0, [{9}], cap=10)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])  # None: the default; 1 byte: one row per block
+def test_combination_blocks_follow_itertools(monkeypatch, chunk_bytes):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
+    cases = [(n, b) for n in range(1, 10) for b in range(1, n + 1)]
+    for n, b in cases + [(70, 68)]:  # C(70, 34) and up overflow int64
+        blocks = list(solver._combinations(n, b))
+        assert all(block.shape[1] == b for block in blocks)
+        if chunk_bytes is not None:
+            assert all(len(block) == 1 for block in blocks)
+        assert np.concatenate(blocks).tolist() == [list(c) for c in itertools.combinations(range(n), b)]
 
 
 def test_exact_validates_opponents():
@@ -282,7 +295,7 @@ def test_exhaustive_memory_stays_near_the_payoffs_array():
         tracemalloc.stop()
     assert found == []
     payoffs = 8 * cfg.m * math.comb(cfg.n, 2) ** 2  # 706 KB for the 44,100 profiles
-    # Measured: 1.03 MB, two and a half chunks above the payoffs array.  Scoring all
+    # Measured: 1.47 MB, about three chunks above the payoffs array.  Scoring all
     # 210 candidates against all 210 opponent sets at once takes 7.4 MB per temporary.
     assert peak < payoffs + 4 * game._CHUNK_BYTES
 

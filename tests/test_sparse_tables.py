@@ -1,18 +1,20 @@
 """Sparse horizon tables against the dense path on the same games.
 
 Patching ``dynamics.SPARSE_NODE_THRESHOLD`` to 1 builds every operator
-sparse, so horizon tables start from the sparse identity and stay compressed
-sparse column until they fill in.  The graphs below are sparse enough that
-their short-horizon tables stay compressed, which puts the column gather of
-``dynamics._columns`` (the kernel's and the CLI's) on the sparse path;
-every result must match the dense path's.  A horizon table extends the
+sparse, so horizon tables start from the operator in compressed sparse
+column form and stay so until they fill in.  The graphs below are sparse
+enough that their short-horizon tables stay compressed, which puts the
+column gather of ``dynamics._columns`` (the kernel's and the CLI's) and the
+entries greedy reads (``dynamics._entries``) on the sparse path; every
+result must match the dense path's.  A horizon table extends the
 highest cached one below it, in either format, and must equal a build from
-the identity.
+scratch.
 """
 
 from __future__ import annotations
 
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -114,6 +116,38 @@ def test_best_responses_match_dense(horizon):
         assert abs(got.payoff - ref.payoff) <= 1e-12
 
 
+@pytest.mark.parametrize("chunk_bytes", [None, 1])  # 1 byte: one table column per block
+def test_greedy_matches_dense(monkeypatch, chunk_bytes):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
+    others = [frozenset({8, 21}), frozenset({8, 30, 41})]
+    for horizon in (1, 2, 3):
+        cfg = GameConfig(GRAPH, (2, 6, 3), horizon=horizon)
+        dense = greedy_best_response(cfg, 1, others)
+        with sparse_operators():
+            assert is_csc(payoff_table(cfg))
+            got = greedy_best_response(cfg, 1, others)
+        assert (got.strategy, got.evaluations) == (dense.strategy, dense.evaluations), horizon
+        assert abs(got.payoff - dense.payoff) <= 1e-12, horizon
+
+
+def test_greedy_memory_stays_within_chunks_on_a_sparse_table():
+    cfg = GameConfig(random_graph(3000, 4, 1), (4, 4), horizon=3)
+    with sparse_operators(dynamics.SPARSE_NODE_THRESHOLD):
+        table = payoff_table(cfg)  # the cached table is not the response's memory
+        assert is_csc(table)
+        tracemalloc.start()
+        try:
+            greedy_best_response(cfg, 1, [{0, 1, 2, 3}])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # Measured: 1.78 MB, under seven chunks: a block's columns, its temporaries and some
+    # n-vectors.  The table's 251k entries take 3.0 MB, and each temporary of a pass
+    # over all of them at once would take 2.0 MB.
+    assert peak < 8 * game._CHUNK_BYTES + 16 * 8 * cfg.n
+
+
 def test_equilibrium_search_matches_dense():
     g = random_graph(40, 2, seed=11)
     cfg = GameConfig(g, (1, 1), horizon=1)
@@ -184,7 +218,7 @@ def requested(order):
     return {h: (payoff_table(horizon_cfg(h)), utility_closed_form(horizon_cfg(h), PROFILE)) for h in order}
 
 
-def from_the_identity(threshold, horizons):
+def from_scratch(threshold, horizons):
     """``requested`` with the horizon-table cache emptied before each horizon."""
     built = {}
     with sparse_operators(threshold):
@@ -204,7 +238,7 @@ def assert_same(got, expected):
 @FORMATS
 @pytest.mark.parametrize("order", [(4, 2, 3, 1, 6), (1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)])
 def test_extended_tables_equal_tables_built_from_the_identity(threshold, order):
-    expected = from_the_identity(threshold, order)
+    expected = from_scratch(threshold, order)
     with sparse_operators(threshold):
         got = requested(order)
     assert_same(got, expected)
@@ -226,9 +260,9 @@ def test_extending_a_table_leaves_the_lower_one_unchanged(threshold):
 @FORMATS
 def test_lower_tables_evicted_mid_sweep_give_the_same_tables(monkeypatch, threshold):
     order = (2, 4, 1, 3, 6, 5)
-    expected = from_the_identity(threshold, order)
+    expected = from_scratch(threshold, order)
     # A 1-byte budget keeps only the newest table, so each horizon extends the one
-    # requested just before it, if lower, and starts from the identity otherwise.
+    # requested just before it, if lower, and starts from scratch otherwise.
     tiny = game._cache_by_bytes(1)(game._horizon_table.__wrapped__)
     monkeypatch.setattr(game, "_horizon_table", tiny)
     with sparse_operators(threshold):
@@ -251,7 +285,7 @@ def test_a_horizon_sweep_runs_one_product_per_horizon(monkeypatch, threshold):
     monkeypatch.setattr(game, "diffusion_centrality_matrix", counted)
     with sparse_operators(threshold):
         requested((1, 2, 3, 4))
-    assert steps == [1, 1, 1, 1]  # 4 products; from the identity each time, 1 + 2 + 3 + 4 = 10
+    assert steps == [1, 1, 1, 1]  # 3 products plus the operator; from scratch each time, 0 + 1 + 2 + 3 = 6
 
 
 @pytest.mark.parametrize("seed", [1, 2])
