@@ -29,7 +29,7 @@ from .dynamics import (
     initialize,
 )
 from .game import GameConfig, StrategyProfile, _chunk_items, _mixing_matrix, _shares, check_profile
-from .graph import Graph, GraphFormatError, build_counterexample, dump_graph, load_graph, random_graph
+from .graph import Graph, GraphFormatError, _LineError, build_counterexample, dump_graph, load_graph, random_graph
 from .solver import (
     best_response_dynamics,
     exact_best_response,
@@ -38,14 +38,8 @@ from .solver import (
 )
 
 
-class ProfileFormatError(ValueError):
+class ProfileFormatError(_LineError):
     """Raised when a strategy-profile document cannot be parsed."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 def fmt(x) -> str:
@@ -421,7 +415,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ProfileFormatError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

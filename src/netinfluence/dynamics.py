@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph, _spans, check_seed_ids, validate
+from .graph import Graph, _spans, check_seed_ids, seed_set, validate
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -131,10 +131,11 @@ def initialize(g: Graph, seed_sets, epsilon: float) -> OpinionState:
 
     Args:
         g: the graph the opinions live on.
-        seed_sets: per-player iterables of node ids.
+        seed_sets: per-player iterables of node ids, none listed twice or
+            out of range; empty sets are allowed.
         epsilon: background opinion in (0, 1/(2m)).
     """
-    seed_sets = [frozenset(s) for s in seed_sets]
+    seed_sets = [seed_set(i, s) for i, s in enumerate(seed_sets)]
     m = len(seed_sets)
     if m < 1:
         raise ValueError("need at least one player")

@@ -28,7 +28,7 @@ from .dynamics import (
     influence_matrix,
     seeded_opinions,
 )
-from .graph import Graph, check_seed_ids
+from .graph import Graph, check_seed_ids, seed_set
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -78,22 +78,15 @@ class StrategyProfile:
     """Per-player seed sets.
 
     Accepts any iterable of per-player node iterables; a player listing the
-    same node twice is an input error rather than a double weight.  Profiles
-    compare and hash by their canonical form, so they can key caches and
-    cycle-detection tables.
+    same node twice is an input error rather than a double weight
+    (``graph.seed_set``).  Profiles compare and hash by their canonical form,
+    so they can key caches and cycle-detection tables.
     """
 
     __slots__ = ("strategies",)
 
     def __init__(self, seed_sets: Iterable[Iterable[int]]):
-        strategies = []
-        for i, s in enumerate(seed_sets):
-            nodes = list(s)
-            fs = frozenset(nodes)
-            if len(fs) != len(nodes):
-                raise ValueError(f"player {i} lists a seed node more than once")
-            strategies.append(fs)
-        self.strategies: tuple[frozenset[int], ...] = tuple(strategies)
+        self.strategies: tuple[frozenset[int], ...] = tuple(seed_set(i, s) for i, s in enumerate(seed_sets))
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -118,9 +111,9 @@ class StrategyProfile:
         return tuple(tuple(sorted(s)) for s in self.strategies)
 
     def replace(self, i: int, strategy: Iterable[int]) -> "StrategyProfile":
-        """Copy of the profile with player ``i``'s seed set swapped out."""
+        """Copy of the profile with player ``i``'s seed set swapped out, checked as the constructor checks."""
         sets = list(self.strategies)
-        sets[i] = frozenset(strategy)
+        sets[i] = strategy
         return StrategyProfile(sets)
 
 
@@ -131,17 +124,20 @@ def as_profile(profile) -> StrategyProfile:
     return StrategyProfile(profile)
 
 
-def check_seed_set(cfg: GameConfig, i: int, s):
-    """Validate player ``i``'s seed set against a configuration.
+def check_seed_set(cfg: GameConfig, i: int, s) -> frozenset[int]:
+    """Player ``i``'s seed ids as a frozenset, validated against a configuration.
 
-    Raises ValueError on an empty seed set (payoffs are defined for seeded
-    players only), a busted budget, or an unknown node id.
+    Raises ValueError, in this order, on a node listed twice, an empty seed
+    set (payoffs are defined for seeded players only), a busted budget, or an
+    unknown node id.
     """
+    s = seed_set(i, s)
     if not s:
         raise ValueError(f"player {i} has an empty seed set")
     if len(s) > cfg.budgets[i]:
         raise ValueError(f"player {i} seeds {len(s)} nodes, over their budget {cfg.budgets[i]}")
     check_seed_ids(cfg.n, i, s)
+    return s
 
 
 def check_profile(cfg: GameConfig, profile: StrategyProfile):
@@ -153,15 +149,13 @@ def check_profile(cfg: GameConfig, profile: StrategyProfile):
 
 
 def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int], ...]:
-    """Validate player ``i``'s index and opponents (player order, ``i`` skipped) as frozensets."""
+    """Player ``i``'s index checked; its opponents (player order, ``i`` skipped) by ``check_seed_set``."""
     if not 0 <= i < cfg.m:
         raise ValueError(f"player index {i} out of range for {cfg.m} players")
-    others = tuple(frozenset(s) for s in s_minus_i)
+    others = list(s_minus_i)
     if len(others) != cfg.m - 1:
         raise ValueError(f"expected {cfg.m - 1} opposing seed sets, got {len(others)}")
-    for j, s in enumerate(others):
-        check_seed_set(cfg, j + (j >= i), s)
-    return others
+    return tuple(check_seed_set(cfg, j + (j >= i), s) for j, s in enumerate(others))
 
 
 def _cache_by_bytes(max_bytes: int):
@@ -265,9 +259,9 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
     With ``x`` the initial opinion matrix (``seeded_opinions``), row ``r`` of
     ``table @ x`` is target ``r``'s final opinion toward each player, and the
     payoff is the mean over targets of each player's share of that row.  For
-    the horizon table this is exactly ``evolve`` of ``x``.  Empty seed sets
-    are tolerated here, which ``marginal_gain`` relies on to score the first
-    node added; the public payoff routes reject them up front.
+    the horizon table this is exactly ``evolve`` of ``x``.  The seed sets are
+    not checked: empty ones are tolerated, which ``marginal_gain`` relies on to
+    score the first node added; the public payoff routes reject them up front.
     """
     return _shares(table @ seeded_opinions(table.shape[1], seed_sets, epsilon))
 
@@ -368,7 +362,7 @@ def consensus_utility(cfg: GameConfig, profile) -> np.ndarray:
 
 
 def assemble_profile(i: int, own, others) -> tuple[frozenset[int], ...]:
-    """Insert player ``i``'s seed set into the opposing list.
+    """Insert player ``i``'s seed set into the opposing list, unchecked.
 
     ``others`` holds the remaining players' seed sets in player order with
     player ``i`` skipped; the result is the full per-player tuple.
@@ -383,10 +377,11 @@ def marginal_gain(cfg: GameConfig, i: int, partial, v: int, s_minus_i) -> float:
 
     ``s_minus_i`` lists the other players' seed sets in player order with
     player ``i`` skipped.  Evaluated in closed form over the cached influence
-    table, so repeated calls inside a greedy scan stay cheap.
+    table, so repeated calls inside a greedy scan stay cheap.  ``partial`` may
+    be empty, but may not list a node twice or hold ``v``.
     """
     others = check_opponents(cfg, i, s_minus_i)
-    partial = frozenset(partial)
+    partial = seed_set(i, partial)
     if v in partial:
         raise ValueError(f"node {v} is already in the partial seed set")
     check_seed_set(cfg, i, partial | {v})

@@ -24,17 +24,18 @@ _FRONTIER_MIN_NODES = 300  # below this, a node-by-node walk beats a round's fix
 _EDGE_ROW = np.dtype([("keyword", "U5"), ("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
-class GraphFormatError(ValueError):
-    """Raised when an edge-list document cannot be parsed.
-
-    Carries the one-based line number of the offending line when available.
-    """
+class _LineError(ValueError):
+    """A document that cannot be parsed; ``line`` is the one-based number of the offending line, or None."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class GraphFormatError(_LineError):
+    """Raised when an edge-list document cannot be parsed."""
 
 
 class _EdgeError(ValueError):
@@ -64,6 +65,15 @@ def _id_array(ids, node_count: int) -> np.ndarray:
     except OverflowError:
         clipped = (min(max(int(x), -1), node_count) for x in ids)
         return np.fromiter(clipped, dtype=np.int64, count=len(ids))
+
+
+def seed_set(i: int, seeds) -> frozenset[int]:
+    """Player ``i``'s seed ids as a frozenset; an id listed twice is a ValueError, not a double weight."""
+    seeds = list(seeds)
+    unique = frozenset(seeds)
+    if len(unique) != len(seeds):
+        raise ValueError(f"player {i} lists a seed node more than once")
+    return unique
 
 
 def check_seed_ids(n: int, i: int, seeds) -> None:

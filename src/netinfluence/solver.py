@@ -238,40 +238,35 @@ def best_response_dynamics(
     max_rounds: int = 100,
     use_exact: bool = True,
     regime: str = "horizon",
-    cap: int = EXACT_ENUMERATION_CAP,
-    order_seed: int | None = None,
 ) -> NashOutcome:
     """Round-robin improvement play until a fixed point, a revisit, or the budget.
 
-    Players take turns in ascending index order (or a reproducibly shuffled
-    order when ``order_seed`` is given) and switch to a best response whenever
-    that improves their payoff by more than ``IMPROVEMENT_TOL``.  A full quiet
-    round certifies a fixed point: with ``use_exact`` no player's exact best
-    response improves on it (with greedy responders the certificate is only
-    greedy-stability).  Revisiting an earlier round-start profile proves the
-    deterministic dynamics repeat forever.
+    Players take turns in ascending index order and switch to a best response
+    whenever that improves their payoff by more than ``IMPROVEMENT_TOL``.  A
+    full quiet round certifies a fixed point: with ``use_exact`` no player's
+    exact best response improves on it (with greedy responders the
+    certificate is only greedy-stability).  Revisiting an earlier round-start
+    profile proves the deterministic dynamics repeat forever.  Exact
+    responses raise ``EnumerationCapError`` past ``EXACT_ENUMERATION_CAP``
+    candidate sets.
     """
     profile = as_profile(initial)
     check_profile(cfg, profile)
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least one")
     table = payoff_table(cfg, regime)
-    rng = np.random.default_rng(order_seed) if order_seed is not None else None
 
     strategies = list(profile.strategies)
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    seen: set[tuple[frozenset[int], ...]] = set()
     trace: list[Move] = []
     kind = "max_rounds_exhausted"
     for rounds in range(1, max_rounds + 1):
-        seen.add(tuple(tuple(sorted(s)) for s in strategies))
-        order = list(range(cfg.m))
-        if rng is not None:
-            rng.shuffle(order)
+        seen.add(tuple(strategies))
         changed = False
-        for i in order:
+        for i in range(cfg.m):
             others = [s for j, s in enumerate(strategies) if j != i]
             if use_exact:
-                br = exact_best_response(cfg, i, others, regime=regime, cap=cap)
+                br = exact_best_response(cfg, i, others, regime=regime)
             else:
                 br = greedy_best_response(cfg, i, others, regime=regime)
             current = table_payoffs(table, tuple(strategies), cfg.epsilon)[i]
@@ -282,7 +277,7 @@ def best_response_dynamics(
         if not changed:
             kind = "equilibrium"
             break
-        if tuple(tuple(sorted(s)) for s in strategies) in seen:
+        if tuple(strategies) in seen:
             kind = "cycle_detected"
             break
     return NashOutcome(kind, StrategyProfile(strategies), tuple(trace), rounds)

@@ -1,4 +1,4 @@
-"""The public API's size, and which module knows a table's format."""
+"""The public API's size, which module knows a table's format, and which states the seed-set rule."""
 
 import re
 from pathlib import Path
@@ -22,3 +22,17 @@ def test_only_dynamics_tells_table_formats_apart():
             continue
         for number, line in enumerate(module.read_text(encoding="utf-8").splitlines(), start=1):
             assert not re.search(r"isinstance\(.*ndarray|\.toarray\(|\.indptr|np\.nonzero\(", line), f"{module.name}:{number}"
+
+
+def test_only_graph_states_the_seed_set_rule():
+    # Every entry point checks seed ids for repeats and range through graph.py;
+    # the strategy-file parser repeats the repeat check only to name the line.
+    source = Path(netinfluence.__file__).parent
+    raised: dict[str, list] = {"lists a seed node more than once": [], "seeds unknown node id": []}
+    for module in sorted(source.glob("*.py")):
+        for line in module.read_text(encoding="utf-8").splitlines():
+            for message, places in raised.items():
+                if message in line:
+                    places.append((module.name, "ProfileFormatError(" in line))
+    assert raised["lists a seed node more than once"] == [("cli.py", True), ("graph.py", False)]
+    assert raised["seeds unknown node id"] == [("graph.py", False)]

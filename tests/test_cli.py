@@ -637,20 +637,29 @@ def test_failed_stdout_write_is_a_one_line_error(two_cycle_file, argv):
 
 def test_malformed_strategy_reports_line_number(capsys, two_cycle_file, tmp_path):
     bad = tmp_path / "bad_seeds.txt"
-    bad.write_text("player 0 seeds 0\nplayer one seeds 1\n")
-    code, _, err = run_cli(
-        capsys,
-        ["simulate", "--graph", two_cycle_file, "--strategies", str(bad),
-         "--horizon", "1"],
-    )
-    assert code == 1
-    assert "line 2" in err
+    for document, fragment in [
+        ("player 0 seeds 0\nplayer one seeds 1\n", "line 2: bad integer token"),
+        ("# no players\n\n", "empty document: no 'player' lines"),  # no line to name
+    ]:
+        bad.write_text(document)
+        code, _, err = run_cli(
+            capsys,
+            ["simulate", "--graph", two_cycle_file, "--strategies", str(bad),
+             "--horizon", "1"],
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}: {fragment}") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # A budget list argparse's type check rejects exits the same way, naming the list.
+    with pytest.raises(SystemExit) as exc:
+        main(["nash", "--graph", "g.graph", "--budgets", "2,x", "--dynamics", "--horizon", "1"])
+    assert exc.value.code == 2
+    assert "bad budget list '2,x'" in capsys.readouterr().err
 
 
 def test_normalize_flag_fixes_unscaled_weights(capsys, tmp_path):

@@ -110,6 +110,8 @@ def test_invalid_graph_rejected():
     bad = load_graph("nodes 3\nedge 0 1 1.0\nedge 1 2 0.4\nedge 0 2 0.4\nedge 2 0 1.0\n")
     with pytest.raises(ValueError, match="fails validation"):
         influence_matrix(bad, 0.5)
+    with pytest.raises(ValueError, match="3 nodes need at least 3 edges"):
+        influence_matrix(load_graph("nodes 3\nedge 0 1 1.0\nedge 1 0 1.0\n"), 0.5)
 
 
 # --- initial opinions --------------------------------------------------------
@@ -147,6 +149,13 @@ def test_initialize_epsilon_bounds(epsilon):
 def test_initialize_unknown_node_rejected():
     with pytest.raises(ValueError, match="unknown node"):
         initialize(TWO_CYCLE, [{0}, {2}], 1e-6)
+
+
+def test_initialize_rejects_repeated_ids_and_no_players():
+    with pytest.raises(ValueError, match="player 1 lists a seed node more than once"):
+        initialize(TWO_CYCLE, [{0}, [1, 1]], 1e-6)
+    with pytest.raises(ValueError, match="need at least one player"):
+        initialize(TWO_CYCLE, [], 1e-6)
 
 
 # --- evolution ---------------------------------------------------------------

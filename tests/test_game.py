@@ -82,6 +82,8 @@ def test_profile_equality_ignores_seed_order():
 def test_profile_rejects_duplicate_seeds():
     with pytest.raises(ValueError, match="more than once"):
         StrategyProfile([(0, 0), (1,)])
+    with pytest.raises(ValueError, match="player 1 lists a seed node more than once"):
+        StrategyProfile([(0,), (1,)]).replace(1, [0, 0])
 
 
 def test_profile_replace_is_functional():
@@ -418,6 +420,11 @@ def test_marginal_gain_error_paths():
         marginal_gain(cfg, 0, set(), 0, [{-1}])
     with pytest.raises(ValueError, match="unknown node"):
         marginal_gain(cfg, 0, set(), 0, [{2}])
+    # Repeats are reported before the budget both lists would also bust.
+    with pytest.raises(ValueError, match="player 0 lists a seed node more than once"):
+        marginal_gain(cfg, 0, [1, 1], 0, [{1}])
+    with pytest.raises(ValueError, match="player 1 lists a seed node more than once"):
+        marginal_gain(cfg, 0, set(), 0, [[1, 1]])
 
 
 def test_gains_are_nonnegative_and_diminishing_fuzz():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -279,7 +280,7 @@ def test_equal_graphs_hash_equal_however_built():
     built = Graph(3, EXACT)
     parsed = load_graph("nodes 3\n" + "".join(f"edge {u} {v} {w}\n" for u, v, w in EXACT))
     round_trip = load_graph(dump_graph(built))
-    for other in (parsed, round_trip):
+    for other in (parsed, round_trip, pickle.loads(pickle.dumps(built))):
         assert other == built and hash(other) == hash(built)
         assert other.edges == EXACT
     heavier = Graph(3, EXACT[:3] + ((2, 1, 0.75),))

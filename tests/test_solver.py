@@ -110,6 +110,19 @@ def test_exact_validates_opponents():
         exact_best_response(cfg, 5, [{1}])
 
 
+@pytest.mark.parametrize("respond", [exact_best_response, greedy_best_response])
+@pytest.mark.parametrize("regime", ["horizon", "consensus"])
+@pytest.mark.parametrize("budgets, i, opponents, player", [
+    ((2, 2), 1, [[3, 3, 5]], 0),  # three ids over a budget of two: the repeat is reported first
+    ((2, 2, 2), 0, [{1}, [4, 4]], 2),
+    ((2, 2, 2), 2, [{1}, [4, 4]], 1),
+], ids=["over-budget", "third-player", "second-player"])
+def test_responses_reject_a_repeated_opponent_seed(respond, regime, budgets, i, opponents, player):
+    cfg = GameConfig(graph=random_graph(10, 3, seed=1), budgets=budgets, horizon=2)
+    with pytest.raises(ValueError, match=f"^player {player} lists a seed node more than once$"):
+        respond(cfg, i, opponents, regime=regime)
+
+
 # --- greedy best response ----------------------------------------------------
 
 
@@ -203,6 +216,8 @@ def test_dynamics_round_budget_exhaustion():
     assert outcome.kind == "max_rounds_exhausted"
     assert outcome.rounds == 2
     assert len(outcome.trace) <= 2 * cfg.m
+    with pytest.raises(ValueError, match="max_rounds must be at least one"):
+        best_response_dynamics(cfg, [{0}, {0}], max_rounds=0)
 
 
 def test_dynamics_trace_moves_are_consistent():
@@ -214,16 +229,6 @@ def test_dynamics_trace_moves_are_consistent():
         assert frozenset(current.canonical()[move.player]) == move.old
         current = current.replace(move.player, move.new)
     assert current == outcome.profile
-
-
-def test_dynamics_order_seed_is_reproducible():
-    g = build_counterexample(2, 1)
-    cfg = GameConfig(graph=g, budgets=(1, 1), horizon=1)
-    first = best_response_dynamics(cfg, [{0}, {0}], order_seed=5)
-    second = best_response_dynamics(cfg, [{0}, {0}], order_seed=5)
-    assert first.kind == second.kind
-    assert first.trace == second.trace
-    assert first.profile == second.profile
 
 
 def test_dynamics_greedy_mode_runs():
