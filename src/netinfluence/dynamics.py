@@ -274,12 +274,13 @@ def eigenvector_weights(
     the lazy walk ``(I + W) / 2``, which converges at a rate independent of
     ``alpha``; the iteration runs on the lazy walk, with ``W`` recovered from
     ``entries``.  It starts from the uniform vector, renormalizes to unit sum
-    each round, and stops once the step (the max-norm change of the last
-    round) is below ``tol`` and so is the estimated distance to the fixed
-    point, ``step * rate / (1 - rate)`` with ``rate`` the ratio of the step to
-    the one before, or once a step below ``tol`` is no smaller than the one
-    before, which leaves only rounding noise; either must hold on three
-    rounds running.  The result is checked to satisfy the fixed-point
+    each round, and stops once the step (the largest change of the last
+    round relative to its weight, as payoffs move with the relative error of
+    weights near ``1 / n``) is below ``tol`` and so is the estimated distance
+    to the fixed point, ``step * rate / (1 - rate)`` with ``rate`` the ratio of
+    the step to the smallest one before, or once that ratio is at least one,
+    which leaves only rounding noise; either must hold on three rounds
+    running.  The result is checked to satisfy the fixed-point
     equation of ``entries`` within ``10 * tol``.
 
     Raises:
@@ -287,28 +288,29 @@ def eigenvector_weights(
             residual check fails; never silently returns a bad vector.
     """
     entries = gamma.entries
-    identity = _identity(gamma)
+    identity = _identity(gamma, "csc")  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
     walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
     transposed = ((identity + walk) / 2).T
     c = np.full(gamma.n, 1.0 / gamma.n)
-    delta = np.nan  # no step yet, so the first round has no rate and no estimate
+    floor = np.nan  # the smallest step so far; none yet, so the first round has no rate and no estimate
     settled = 0  # rounds in a row that passed the stopping test
     for iterations in range(1, max_iter + 1):
         nxt = transposed @ c
         nxt /= nxt.sum()
-        step = np.max(np.abs(nxt - c))
-        rate, delta, c = step / delta, step, nxt
+        step = np.max(np.abs(nxt - c) / nxt)
+        rate, floor, c = step / floor, min(step, floor), nxt  # min skips the first round's nan
         # Steps shrinking at rate r < 1 leave about step * r / (1 - r) to go;
-        # steps below tol that stop shrinking are rounding noise.  The rate can
-        # sag below the settled one for twenty rounds, so that the estimate
-        # reads a third low; two more passing rounds shrink the error by that.
+        # steps below tol that set no new low are rounding noise, which can
+        # alternate in the last bit.  The rate can sag below the settled one
+        # for twenty rounds, so that the estimate reads a third low; two more
+        # passing rounds shrink the error by that.
         passed = step < tol and (rate >= 1 or step * rate < tol * (1 - rate))
         settled = settled + 1 if passed else 0
         if step == 0 or settled == 3:
             break
     else:
         raise PowerIterationError(
-            f"no convergence after {max_iter} iterations (last delta {delta:.3e})"
+            f"no convergence after {max_iter} iterations (smallest step {floor:.3e})"
         )
     residual = np.max(np.abs(entries.T @ c - c))
     if not residual < 10 * tol:

@@ -128,8 +128,8 @@ def check_seed_set(cfg: GameConfig, i: int, s) -> frozenset[int]:
     """Player ``i``'s seed ids as a frozenset, validated against a configuration.
 
     Raises ValueError, in this order, on a node listed twice, an empty seed
-    set (payoffs are defined for seeded players only), a busted budget, or an
-    unknown node id.
+    set (payoffs are defined for seeded players only), a busted budget, or a
+    non-integer or unknown node id (``graph.check_seed_ids``).
     """
     s = seed_set(i, s)
     if not s:
@@ -140,12 +140,14 @@ def check_seed_set(cfg: GameConfig, i: int, s) -> frozenset[int]:
     return s
 
 
-def check_profile(cfg: GameConfig, profile: StrategyProfile):
-    """Validate a profile's player count, then each seed set via ``check_seed_set``."""
+def check_profile(cfg: GameConfig, profile) -> StrategyProfile:
+    """``as_profile(profile)``, its player count validated, then each seed set via ``check_seed_set``."""
+    profile = as_profile(profile)
     if len(profile) != cfg.m:
         raise ValueError(f"profile has {len(profile)} players but the game has {cfg.m}")
     for i, s in enumerate(profile):
         check_seed_set(cfg, i, s)
+    return profile
 
 
 def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int], ...]:
@@ -336,8 +338,7 @@ def utility(cfg: GameConfig, profile) -> np.ndarray:
     divided by the node's total opinion mass.  Returns a length-``m`` vector
     summing to one.
     """
-    profile = as_profile(profile)
-    check_profile(cfg, profile)
+    profile = check_profile(cfg, profile)
     gamma = _mixing_matrix(cfg.graph, cfg.alpha)
     state = OpinionState(0, seeded_opinions(cfg.n, profile.strategies, cfg.epsilon))
     return _shares(evolve(state, gamma, cfg.horizon).opinions)
@@ -345,8 +346,7 @@ def utility(cfg: GameConfig, profile) -> np.ndarray:
 
 def utility_closed_form(cfg: GameConfig, profile) -> np.ndarray:
     """Payoffs via the horizon influence table; agrees with ``utility`` to ~1e-10."""
-    profile = as_profile(profile)
-    check_profile(cfg, profile)
+    profile = check_profile(cfg, profile)
     return table_payoffs(payoff_table(cfg, "horizon"), profile.strategies, cfg.epsilon)
 
 
@@ -356,8 +356,7 @@ def consensus_utility(cfg: GameConfig, profile) -> np.ndarray:
     Uses the consensus weights instead of a finite horizon, which is the limit
     every long simulation approaches.
     """
-    profile = as_profile(profile)
-    check_profile(cfg, profile)
+    profile = check_profile(cfg, profile)
     return table_payoffs(payoff_table(cfg, "consensus"), profile.strategies, cfg.epsilon)
 
 

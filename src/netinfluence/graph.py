@@ -9,6 +9,7 @@ are dense integers ``0 .. node_count - 1``.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -55,15 +56,15 @@ def _node_count_problem(node_count: int) -> str | None:
 
 
 def _id_array(ids, node_count: int) -> np.ndarray:
-    """Node ids (anything ``int`` accepts) as int64.
+    """Node ids (integers: what ``operator.index`` takes) as int64.
 
     Ids outside int64 are stored as -1 or ``node_count``, which are out of
-    range just as they are.
+    range just as they are.  Any other id is a TypeError.
     """
     try:
-        return np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
+        return np.fromiter(map(operator.index, ids), dtype=np.int64, count=len(ids))
     except OverflowError:
-        clipped = (min(max(int(x), -1), node_count) for x in ids)
+        clipped = (min(max(operator.index(x), -1), node_count) for x in ids)
         return np.fromiter(clipped, dtype=np.int64, count=len(ids))
 
 
@@ -77,10 +78,13 @@ def seed_set(i: int, seeds) -> frozenset[int]:
 
 
 def check_seed_ids(n: int, i: int, seeds) -> None:
-    """Raise ValueError at the first of player ``i``'s seed ids outside ``0 .. n - 1``."""
+    """Raise ValueError at player ``i``'s first seed id not an integer (``operator.index``) in ``0 .. n - 1``."""
     for v in seeds:
-        if not 0 <= v < n:
-            raise ValueError(f"player {i} seeds unknown node id {v}")
+        try:
+            if not 0 <= operator.index(v) < n:
+                raise ValueError(f"player {i} seeds unknown node id {v}")
+        except TypeError:
+            raise ValueError(f"player {i} seeds non-integer node id {v!r}") from None
 
 
 def _repeats(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -137,10 +141,11 @@ class Graph:
     Stored as ``node_count`` and three read-only arrays in edge order:
     ``src`` and ``dst`` (int64) and ``weight`` (float64).  ``edges`` builds
     the ``(source, target, weight)`` triples from them on each access.
-    Duplicate edges, self-loops and weights that are not finite and positive
-    are rejected: a node's retention of its own opinion is a dynamics
-    parameter, not an edge.  Two graphs are equal when their node counts and
-    arrays are; the hash is computed once, when the graph is made.
+    Node ids are integers (what ``operator.index`` takes).  Duplicate edges,
+    self-loops and weights that are not finite and positive are rejected: a
+    node's retention of its own opinion is a dynamics parameter, not an
+    edge.  Two graphs are equal when their node counts and arrays are; the
+    hash is computed once, when the graph is made.
     """
 
     __slots__ = ("node_count", "src", "dst", "weight", "_hash")
@@ -151,7 +156,15 @@ class Graph:
             raise ValueError(problem)
         edges = tuple(edges)
         us, vs, ws = zip(*edges, strict=True) if edges else ((), (), ())
-        src, dst = _id_array(us, node_count), _id_array(vs, node_count)
+        try:
+            src, dst = _id_array(us, node_count), _id_array(vs, node_count)
+        except TypeError:
+            for u, v in zip(us, vs):
+                try:
+                    operator.index(u), operator.index(v)
+                except TypeError:
+                    raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node id") from None
+            raise
         weight = np.array(ws, dtype=float)
         _check_edges(node_count, src, dst, weight, lambda k: edges[k][:2])
         self._fill(node_count, src, dst, weight)
@@ -278,25 +291,6 @@ def validate(g: Graph, tol: float = STOCHASTIC_TOL) -> ValidationReport:
     return ValidationReport(not len(bad), not len(cut_off), tuple(sorted(defects.items())))
 
 
-def _edge_columns(node_count: int, us: list, vs: list, ws: list, edge_lines) -> tuple:
-    """Edge token strings as id and weight arrays.
-
-    Raises:
-        GraphFormatError: at the first edge line with a token ``int`` or
-            ``float`` rejects.
-    """
-    try:
-        weight = np.fromiter(map(float, ws), dtype=float, count=len(ws))
-        return _id_array(us, node_count), _id_array(vs, node_count), weight
-    except ValueError:
-        for k, tokens in enumerate(zip(us, vs, ws)):
-            try:
-                int(tokens[0]), int(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise GraphFormatError(f"bad edge tokens {list(tokens)!r}", edge_lines[k]) from None
-        raise
-
-
 def _in_weight_sums(dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Incoming weight per node, summed in edge order, up to the largest target.
 
@@ -335,25 +329,31 @@ def _plain_columns(chunk: list, first: int) -> tuple | None:
 
 
 def _chunk_columns(chunk: list, first: int, node_count: int, written: dict) -> tuple:
-    """Edge arrays and line numbers of the lines ``chunk``, numbered from ``first``, line by line.
+    """Edge arrays and line numbers of the lines ``chunk``, numbered from ``first``, converted line by line.
 
-    Keeps the ids as written of its first edge with an id out of range in ``written[line]``.
+    Ids beyond int64 are stored as -1 or ``node_count``; the document's first such edge, the only one
+    that can be the first bad edge, keeps its ids as written in ``written[line]``, for the message.
     """
-    tokens: list[str] = []  # strings, unlike tuples, are not tracked by the garbage collector
-    lines = array("q")
+    ids, weight, lines = array("q"), array("d"), array("q")
     for line_no, raw in enumerate(chunk, start=first):
         row = raw.split()
         if len(row) == 4 and row[0] == "edge":
-            tokens += row
+            try:
+                u, v, w = int(row[1]), int(row[2]), float(row[3])
+                ids.append(u)
+                ids.append(v)
+            except ValueError:
+                raise GraphFormatError(f"bad edge tokens {row[1:]!r}", line_no) from None
+            except OverflowError:  # an id beyond int64, out of range all the same
+                ids[2 * len(lines) :] = array("q", [min(max(x, -1), node_count) for x in (u, v)])
+                if not written:
+                    written[line_no] = u, v
+            weight.append(w)
             lines.append(line_no)
         elif row and not row[0].startswith("#"):
-            _edge_columns(node_count, tokens[1::4], tokens[2::4], tokens[3::4], lines)  # earlier bad tokens win
             raise GraphFormatError("expected 'edge <source> <target> <weight>'", line_no)
-    us, vs, ws = tokens[1::4], tokens[2::4], tokens[3::4]
-    src, dst, weight = _edge_columns(node_count, us, vs, ws, lines)
-    for k in np.flatnonzero((src < 0) | (src >= node_count) | (dst < 0) | (dst >= node_count))[:1].tolist():
-        written[lines[k]] = int(us[k]), int(vs[k])
-    return src, dst, weight, np.array(lines, dtype=np.int64)
+    ends = np.frombuffer(ids, dtype=np.int64)
+    return ends[0::2].copy(), ends[1::2].copy(), np.array(weight, dtype=float), np.array(lines, dtype=np.int64)
 
 
 def load_graph(source, normalize: bool = False) -> Graph:
@@ -365,7 +365,7 @@ def load_graph(source, normalize: bool = False) -> Graph:
     payload line must be ``edge <source> <target> <weight>``.  The lines after
     the header are read by numpy's C line reader (``np.loadtxt``),
     ``_CHUNK_LINES`` at a time; a chunk with a comment, a blank line or a
-    token numpy reads differently from ``int`` or ``float`` is tokenized
+    token numpy reads differently from ``int`` or ``float`` is converted
     line by line instead.  Each chunk becomes arrays before the next is
     read, so one chunk's strings are alive at a time.  The arrays are then
     checked as a whole.

@@ -30,7 +30,6 @@ from .game import (
     _response_terms,
     _score,
     _seed_counts,
-    as_profile,
     assemble_profile,
     check_opponents,
     check_profile,
@@ -250,8 +249,7 @@ def best_response_dynamics(
     responses raise ``EnumerationCapError`` past ``EXACT_ENUMERATION_CAP``
     candidate sets.
     """
-    profile = as_profile(initial)
-    check_profile(cfg, profile)
+    profile = check_profile(cfg, initial)
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least one")
     table = payoff_table(cfg, regime)

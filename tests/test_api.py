@@ -25,10 +25,14 @@ def test_only_dynamics_tells_table_formats_apart():
 
 
 def test_only_graph_states_the_seed_set_rule():
-    # Every entry point checks seed ids for repeats and range through graph.py;
+    # Every entry point checks seed ids for repeats, type and range through graph.py;
     # the strategy-file parser repeats the repeat check only to name the line.
     source = Path(netinfluence.__file__).parent
-    raised: dict[str, list] = {"lists a seed node more than once": [], "seeds unknown node id": []}
+    raised: dict[str, list] = {
+        "lists a seed node more than once": [],
+        "seeds unknown node id": [],
+        "seeds non-integer node id": [],
+    }
     for module in sorted(source.glob("*.py")):
         for line in module.read_text(encoding="utf-8").splitlines():
             for message, places in raised.items():
@@ -36,3 +40,4 @@ def test_only_graph_states_the_seed_set_rule():
                     places.append((module.name, "ProfileFormatError(" in line))
     assert raised["lists a seed node more than once"] == [("cli.py", True), ("graph.py", False)]
     assert raised["seeds unknown node id"] == [("graph.py", False)]
+    assert raised["seeds non-integer node id"] == [("graph.py", False)]

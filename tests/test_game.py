@@ -111,6 +111,15 @@ def test_check_profile_enforces_budget_and_nodes():
         check_profile(cfg, as_profile([{0}, set()]))
 
 
+def test_check_profile_returns_the_profile_it_checked():
+    cfg = two_cycle_config()
+    profile = as_profile([{0}, {1}])
+    assert check_profile(cfg, profile) is profile
+    assert check_profile(cfg, [[0], (1,)]) == profile
+    with pytest.raises(ValueError, match="player 1 lists a seed node more than once"):
+        check_profile(cfg, [[0], [1, 1]])
+
+
 # --- simulated utility -------------------------------------------------------
 
 
@@ -258,8 +267,9 @@ def test_consensus_route_matches_dense_solve_at_small_alpha():
     assert np.max(np.abs(consensus_utility(cfg, sets) - expected)) < 1e-10
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 15])
 def test_consensus_route_matches_dense_solve_on_a_large_graph(seed):
+    # Seed 15 needs a stopping test relative to weights of about 1 / n.
     from oracles import initial_opinions_oracle, stationary_solve_oracle
 
     g = random_graph(3000, 4, seed=seed)
@@ -425,6 +435,36 @@ def test_marginal_gain_error_paths():
         marginal_gain(cfg, 0, [1, 1], 0, [{1}])
     with pytest.raises(ValueError, match="player 1 lists a seed node more than once"):
         marginal_gain(cfg, 0, set(), 0, [[1, 1]])
+
+
+@pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (1.0, "1.0"), ("1", "'1'"), (np.float64(2.0), repr(np.float64(2.0)))])
+def test_every_entry_point_rejects_non_integer_seed_ids(bad, shown):
+    from netinfluence import exact_best_response, greedy_best_response, initialize
+
+    cfg = GameConfig(graph=random_graph(10, 3, seed=1), budgets=(2, 2), horizon=2)
+    calls = {
+        0: [
+            lambda: utility(cfg, [[bad], [1]]),
+            lambda: utility_closed_form(cfg, [[3, bad], [1]]),
+            lambda: exact_best_response(cfg, 1, [[bad]]),
+            lambda: greedy_best_response(cfg, 1, [[bad]], regime="consensus"),
+            lambda: marginal_gain(cfg, 0, [bad], 3, [{1}]),
+            lambda: marginal_gain(cfg, 0, set(), bad, [{1}]),
+            lambda: initialize(cfg.graph, [[bad], [1]], cfg.epsilon),
+        ],
+        1: [
+            lambda: consensus_utility(cfg, [[0], [bad]]),
+            lambda: exact_best_response(cfg, 0, [[bad]], regime="consensus"),
+            lambda: greedy_best_response(cfg, 0, [[4, bad]]),
+            lambda: marginal_gain(cfg, 0, set(), 3, [[bad]]),
+            lambda: initialize(cfg.graph, [[0], [bad]], cfg.epsilon),
+        ],
+    }
+    for player, entries in calls.items():
+        for call in entries:
+            with pytest.raises(ValueError) as exc_info:
+                call()
+            assert str(exc_info.value) == f"player {player} seeds non-integer node id {shown}"
 
 
 def test_gains_are_nonnegative_and_diminishing_fuzz():

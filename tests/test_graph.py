@@ -147,6 +147,8 @@ READER_EDGE_CASES = [
     "nodes 3\nedge 0 -9223372036854775809 1\nedge 1 2 1\n",
     "nodes 2\nedge\x00 0 1 1\nedge 1 0 1\n",
     "nodes 2\nedge 0 1 1\nedge 1 0 1\x00\n",
+    "nodes 3\nedge 0 1\nedge 0 x 1\n",  # a malformed line wins over a later bad token
+    "nodes 3\nedge 0 5 1\nedge 99999999999999999999 1 1\n",  # the first edge's ids as written
 ]
 
 
@@ -471,11 +473,21 @@ def test_validate_matches_oracle_on_long_searches(monkeypatch, shape, reverse, l
         (2, ((1, 1, 1.0),), "self-loop"),
         (2, ((0, 1, 0.0),), "non-positive weight"),
         (2, ((0, 1, 0.5), (0, 1, 0.5)), "duplicate edge"),
+        (2, ((0.7, 1, 1.0), (1, 0, 1.0)), r"^edge \(0\.7, 1\) has a non-integer node id$"),
+        (2, ((0, 1, 1.0), (1, 0.2, 1.0)), r"^edge \(1, 0\.2\) has a non-integer node id$"),
+        (2, (("0", 1, 1.0), (1, 0, 1.0)), r"^edge \('0', 1\) has a non-integer node id$"),
+        (2, ((0, 1, 1.0), (1, np.float64(0.0), 1.0)), r"^edge \(1, .*0\.0\)?\) has a non-integer node id$"),
+        (2, ((0, 2**70, 1.0), (1, 0, 1.0), (1.0, 0, 1.0)), r"^edge \(1\.0, 0\) has a non-integer node id$"),
     ],
 )
 def test_graph_constructor_rejects_bad_input(node_count, edges, fragment):
     with pytest.raises(ValueError, match=fragment):
         Graph(node_count, edges)
+
+
+def test_graph_constructor_takes_numpy_integer_ids():
+    numpy_ints = Graph(2, [(np.int64(0), np.int32(1), 1.0), (np.uint8(1), 0, 1.0)])
+    assert numpy_ints == Graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
 
 
 def test_dump_load_round_trip():
