@@ -2,11 +2,10 @@
 
 Reports are line-delimited text with a stable field order (see
 ``docs/report_schema.md``): every command echoes its effective parameters,
-emits its payload, and ends with a timing line.  ``--structured`` switches
-from the human layout to the machine layout; both are deterministic for fixed
-inputs apart from the timing line.  All real numbers are printed with 12
-significant digits.  Diagnostics go to stderr; the exit status is zero
-exactly when a payload was produced.
+writes its payload line by line as it is formatted, and ends with a timing
+line.  ``--structured`` picks the machine layout over the human one; both are
+deterministic apart from the timing line, with real numbers to 12 significant
+digits.  Diagnostics go to stderr; exit status 0 means the report is complete.
 """
 
 from __future__ import annotations
@@ -52,31 +51,33 @@ def _ids(nodes) -> str:
 
 
 class Report:
-    """One command's report: starts the stopwatch, formats each line as it is added, ``emit`` writes it."""
+    """One command's report, timed from creation; header and ``param`` lines wait for the first payload line."""
 
     def __init__(self, command: str, structured: bool):
         self.started = time.perf_counter()
         self.structured = structured
-        self.lines = [f"command {command}" if structured else f"netinfluence {command}"]
+        self.held = f"command {command}\n" if structured else f"netinfluence {command}\n"
 
     def param(self, key: str, value):
-        self.lines.append(f"param {key} {value}" if self.structured else f"  {key}: {value}")
+        self.held += f"param {key} {value}\n" if self.structured else f"  {key}: {value}\n"
 
     def line(self, text: str):
-        self.lines.append(text)
+        _write(self.held + text + "\n")
+        self.held = ""
 
     def emit(self) -> int:
         elapsed_ms = fmt((time.perf_counter() - self.started) * 1000.0)
-        self.line(f"time_ms {elapsed_ms}" if self.structured else f"elapsed {elapsed_ms} ms")
-        _write("\n".join(self.lines) + "\n")
+        timing = f"time_ms {elapsed_ms}" if self.structured else f"elapsed {elapsed_ms} ms"
+        _write(self.held + timing + "\n", flush=True)
         return 0
 
 
-def _write(text: str):
-    """Write to stdout; a failed write, such as to a full disk, is a one-line error."""
+def _write(text: str, flush: bool = False):
+    """Write to stdout, then flush if asked; a failed write, such as to a full disk, is a one-line error."""
     try:
         sys.stdout.write(text)
-        sys.stdout.flush()
+        if flush:
+            sys.stdout.flush()
     except OSError as exc:
         # The unwritten text stays buffered; send it to /dev/null so the exit flush cannot fail too.
         with open(os.devnull, "w") as devnull:
@@ -141,10 +142,9 @@ def _read_players(path: str, skip: int | None = None) -> list[list[int]]:
 
 def _budgets_arg(text: str) -> tuple[int, ...]:
     try:
-        budgets = tuple(int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad budget list {text!r}; expected e.g. 2,2") from None
-    return budgets
 
 
 def _resolve_regime(args, report: Report) -> tuple[str, int]:
@@ -321,7 +321,7 @@ def cmd_generate(args) -> int:
     comments = "".join(f"# {key} {value}\n" for key, value in header.items())
     document = "# generated by netinfluence\n" + comments + dump_graph(g)
     if not args.output:
-        _write(document)
+        _write(document, flush=True)
         return 0
     try:
         with open(args.output, "w", encoding="utf-8") as handle:

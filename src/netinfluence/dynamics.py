@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph, _spans, check_seed_ids, seed_set, validate
+from .graph import Graph, _integer, _spans, check_seed_ids, seed_set, validate
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -152,6 +152,7 @@ def evolve(state: OpinionState, gamma: InfluenceMatrix, t_steps: int) -> Opinion
     Repeated matrix-vector products keep memory flat and error growth mild,
     so this never forms an explicit matrix power.
     """
+    t_steps = _integer(t_steps, "non-integer t_steps")
     if t_steps < 0:
         raise ValueError("t_steps must be non-negative")
     if state.opinions.shape[0] != gamma.n:
@@ -171,11 +172,11 @@ def _scipy_sparse():
     return sparse
 
 
-def _identity(gamma: InfluenceMatrix, format: str = "csr") -> np.ndarray | _sparse.spmatrix:
-    """The identity: dense for a dense operator, else sparse in ``format``."""
+def _identity(gamma: InfluenceMatrix) -> np.ndarray | _sparse.csc_matrix:
+    """The identity: dense for a dense operator, else compressed sparse column."""
     if isinstance(gamma.entries, np.ndarray):
         return np.eye(gamma.n)
-    return _scipy_sparse().identity(gamma.n, format=format)
+    return _scipy_sparse().identity(gamma.n, format="csc")
 
 
 def diffusion_centrality_matrix(
@@ -196,6 +197,7 @@ def diffusion_centrality_matrix(
     dense and the remaining products are dense.  Either way the entries equal
     those of the dense products within rounding.
     """
+    t_steps = _integer(t_steps, "non-integer t_steps")
     if t_steps < 0:
         raise ValueError("t_steps must be non-negative")
     n, op = gamma.n, gamma.entries
@@ -206,7 +208,7 @@ def diffusion_centrality_matrix(
         table = op.copy() if table is None else op @ table
         if not isinstance(table, np.ndarray) and 4 * table.nnz > n * n:
             table = table.toarray()
-    return _identity(gamma, "csc") if table is None else table
+    return _identity(gamma) if table is None else table
 
 
 def _columns(table, nodes: np.ndarray) -> np.ndarray:
@@ -287,8 +289,9 @@ def eigenvector_weights(
         PowerIterationError: when the iteration budget runs out or the
             residual check fails; never silently returns a bad vector.
     """
+    max_iter = _integer(max_iter, "non-integer max_iter")
     entries = gamma.entries
-    identity = _identity(gamma, "csc")  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
+    identity = _identity(gamma)  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
     walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
     transposed = ((identity + walk) / 2).T
     c = np.full(gamma.n, 1.0 / gamma.n)

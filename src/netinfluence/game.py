@@ -28,7 +28,7 @@ from .dynamics import (
     influence_matrix,
     seeded_opinions,
 )
-from .graph import Graph, check_seed_ids, seed_set
+from .graph import Graph, _integer, check_seed_ids, seed_set
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -39,9 +39,9 @@ class GameConfig:
     """Everything that pins down one game instance.
 
     ``budgets`` gives each player's maximum seed-set size (player count is its
-    length); ``horizon`` is the number of mixing steps before payoffs are
-    read; ``epsilon`` is the background opinion implanted in unseeded nodes
-    and must stay below ``1 / (2m)`` so it never rivals a real seed.
+    length) and ``horizon`` the number of mixing steps before payoffs are read,
+    all integers; ``epsilon`` is the background opinion implanted in unseeded
+    nodes and must stay below ``1 / (2m)`` so it never rivals a real seed.
     """
 
     graph: Graph
@@ -51,7 +51,8 @@ class GameConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        object.__setattr__(self, "budgets", tuple(_integer(b, "non-integer budget") for b in self.budgets))
+        object.__setattr__(self, "horizon", _integer(self.horizon, "non-integer horizon"))
         if len(self.budgets) < 2:
             raise ValueError("need at least two players")
         if any(b < 1 for b in self.budgets):

@@ -77,14 +77,20 @@ def seed_set(i: int, seeds) -> frozenset[int]:
     return unique
 
 
+def _integer(value, what: str) -> int:
+    """``operator.index(value)``: ints and numpy integers pass, anything else is a ValueError ``<what> <value!r>``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r}") from None
+
+
 def check_seed_ids(n: int, i: int, seeds) -> None:
-    """Raise ValueError at player ``i``'s first seed id not an integer (``operator.index``) in ``0 .. n - 1``."""
+    """Raise ValueError at player ``i``'s first seed id not an integer (``_integer``) in ``0 .. n - 1``."""
+    non_integer = f"player {i} seeds non-integer node id"
     for v in seeds:
-        try:
-            if not 0 <= operator.index(v) < n:
-                raise ValueError(f"player {i} seeds unknown node id {v}")
-        except TypeError:
-            raise ValueError(f"player {i} seeds non-integer node id {v!r}") from None
+        if not 0 <= _integer(v, non_integer) < n:
+            raise ValueError(f"player {i} seeds unknown node id {v}")
 
 
 def _repeats(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -141,16 +147,17 @@ class Graph:
     Stored as ``node_count`` and three read-only arrays in edge order:
     ``src`` and ``dst`` (int64) and ``weight`` (float64).  ``edges`` builds
     the ``(source, target, weight)`` triples from them on each access.
-    Node ids are integers (what ``operator.index`` takes).  Duplicate edges,
-    self-loops and weights that are not finite and positive are rejected: a
-    node's retention of its own opinion is a dynamics parameter, not an
-    edge.  Two graphs are equal when their node counts and arrays are; the
-    hash is computed once, when the graph is made.
+    The node count and ids are integers (what ``operator.index`` takes).
+    Duplicate edges, self-loops and weights that are not finite and positive
+    are rejected: a node's retention of its own opinion is a dynamics
+    parameter, not an edge.  Two graphs are equal when their node counts and
+    arrays are; the hash is computed once, when the graph is made.
     """
 
     __slots__ = ("node_count", "src", "dst", "weight", "_hash")
 
     def __init__(self, node_count: int, edges):
+        node_count = _integer(node_count, "non-integer node count")
         problem = _node_count_problem(node_count)
         if problem:
             raise ValueError(problem)

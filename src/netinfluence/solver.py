@@ -36,6 +36,7 @@ from .game import (
     payoff_table,
     table_payoffs,
 )
+from .graph import _integer
 
 IMPROVEMENT_TOL = 1e-12
 EXACT_ENUMERATION_CAP = 5_000_000
@@ -250,6 +251,7 @@ def best_response_dynamics(
     candidate sets.
     """
     profile = check_profile(cfg, initial)
+    max_rounds = _integer(max_rounds, "non-integer max_rounds")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least one")
     table = payoff_table(cfg, regime)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -45,6 +46,10 @@ def two_cycle_seeds(tmp_path):
     path = tmp_path / "seeds.txt"
     path.write_text("player 0 seeds 0\nplayer 1 seeds 1\n")
     return str(path)
+
+
+def ring_text(n):
+    return f"nodes {n}\n" + "".join(f"edge {v} {(v + 1) % n} 1\n" for v in range(n))
 
 
 def run_cli(capsys, argv):
@@ -291,6 +296,38 @@ def test_centrality_lines_match_per_element_rendering(capsys, tmp_path, monkeypa
         table = table if isinstance(table, np.ndarray) else table.toarray()
         expected = [f"influence {v} " + " ".join(cli.fmt(x) for x in table[:, v]) for v in range(120)]
     assert [line for line in out.splitlines() if line.startswith(("weight", "influence"))] == expected
+
+
+class _CharCounter(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+
+def test_centrality_report_memory_does_not_grow_with_its_output(tmp_path):
+    # The report is written line by line: the peak is the operator and the table
+    # (dense at 600 nodes) plus a few gathered chunks, whose columns as Python
+    # floats take about four times their ``_CHUNK_BYTES``.  The whole report is
+    # larger than that allowance, so holding it would break the bound.
+    n = 600
+    graph = tmp_path / "ring.graph"
+    graph.write_text(ring_text(n))
+    sink = _CharCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["centrality", "--horizon", "1", "--graph", str(graph)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowance = 4 * (4 * game._CHUNK_BYTES)
+    assert sink.count > allowance
+    assert peak < 2 * (8 * n * n) + allowance
 
 
 # --- best-response -----------------------------------------------------------
@@ -564,8 +601,8 @@ def run_capped_cli(argv):
 
 
 HUGE_HEADER = "nodes 10000000000\nedge 0 1 1\n"
-# A valid ring whose printed influence table exceeds the cap.
-BIG_RING = "nodes 9000\n" + "".join(f"edge {v} {(v + 1) % 9000} 1\n" for v in range(9000))
+# A valid graph whose horizon-4 influence table fills in past a quarter and turns dense: 648 MB, over the cap.
+DENSE_TABLE_GRAPH = dump_graph(random_graph(9000, 8, 1))
 
 
 @pytest.mark.parametrize(
@@ -575,7 +612,7 @@ BIG_RING = "nodes 9000\n" + "".join(f"edge {v} {(v + 1) % 9000} 1\n" for v in ra
         (HUGE_HEADER, ["centrality", "--eigen", "--normalize"], "need at least 10000000000 edges"),
         (HUGE_HEADER, ["simulate", "--horizon", "1"], "need at least 10000000000 edges"),
         (HUGE_HEADER, ["nash", "--exhaustive", "--budgets", "1,1", "--horizon", "1"], "exceed the cap"),
-        (BIG_RING, ["centrality", "--horizon", "1"], "out of memory"),
+        (DENSE_TABLE_GRAPH, ["centrality", "--horizon", "4"], "out of memory"),
     ],
     ids=["eigen", "normalize", "simulate", "exhaustive", "dense-table"],
 )
@@ -616,13 +653,20 @@ def test_player_indices_outside_the_game_are_a_one_line_error(
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize(
-    "argv",
-    [["centrality", "--eigen", "--graph"], ["generate", "--random", "2000", "3", "1"]],
-    ids=["report", "generated-graph"],
+    "argv, graph_text",
+    [
+        (["centrality", "--eigen"], TWO_CYCLE_TEXT),
+        (["generate", "--random", "2000", "3", "1"], None),
+        # A 1.26 MB report: the write fails partway through, not at the final flush.
+        (["centrality", "--horizon", "1"], ring_text(300)),
+    ],
+    ids=["report", "generated-graph", "mid-stream"],
 )
-def test_failed_stdout_write_is_a_one_line_error(two_cycle_file, argv):
-    if argv[-1] == "--graph":
-        argv = argv + [two_cycle_file]
+def test_failed_stdout_write_is_a_one_line_error(tmp_path, argv, graph_text):
+    if graph_text is not None:
+        graph = tmp_path / "g.graph"
+        graph.write_text(graph_text)
+        argv = argv + ["--graph", str(graph)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with open("/dev/full", "w") as full:
         done = subprocess.run(

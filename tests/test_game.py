@@ -14,10 +14,15 @@ from netinfluence import (
     StrategyProfile,
     as_profile,
     assemble_profile,
+    best_response_dynamics,
     build_counterexample,
     check_profile,
     consensus_utility,
+    diffusion_centrality_matrix,
+    eigenvector_weights,
+    evolve,
     influence_matrix,
+    initialize,
     load_graph,
     marginal_gain,
     payoff_table,
@@ -465,6 +470,42 @@ def test_every_entry_point_rejects_non_integer_seed_ids(bad, shown):
             with pytest.raises(ValueError) as exc_info:
                 call()
             assert str(exc_info.value) == f"player {player} seeds non-integer node id {shown}"
+
+
+@pytest.mark.parametrize(
+    "bad, shown", [(2.5, "2.5"), (2.0, "2.0"), ("2", "'2'"), (np.float64(2.0), repr(np.float64(2.0)))]
+)
+def test_every_count_rejects_non_integers(bad, shown):
+    # Counts take the seed ids' rule (what ``operator.index`` takes): no truncation, no bare TypeError.
+    cfg = GameConfig(graph=random_graph(10, 3, seed=1), budgets=(2, 2), horizon=2)
+    gamma = influence_matrix(cfg.graph, cfg.alpha)
+    state = initialize(cfg.graph, [[0], [1]], cfg.epsilon)
+    calls = [
+        ("node count", lambda: Graph(bad, [(0, 1, 1.0), (1, 0, 1.0)])),
+        ("budget", lambda: GameConfig(cfg.graph, (2, bad), horizon=2)),
+        ("horizon", lambda: GameConfig(cfg.graph, (2, 2), horizon=bad)),
+        ("t_steps", lambda: evolve(state, gamma, bad)),
+        ("t_steps", lambda: diffusion_centrality_matrix(gamma, bad)),
+        ("max_rounds", lambda: best_response_dynamics(cfg, [[0], [1]], max_rounds=bad)),
+        ("max_iter", lambda: eigenvector_weights(gamma, max_iter=bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as exc_info:
+            call()
+        assert str(exc_info.value) == f"non-integer {name} {shown}"
+
+
+def test_every_count_takes_numpy_integers_as_ints():
+    g = Graph(np.int64(2), [(0, 1, 1.0), (1, 0, 1.0)])
+    assert g == TWO_CYCLE and type(g.node_count) is int
+    cfg = GameConfig(g, (np.int32(1), np.uint8(1)), horizon=np.int64(3))
+    assert cfg == two_cycle_config() and {type(c) for c in (*cfg.budgets, cfg.horizon)} == {int}
+    gamma = influence_matrix(g, 0.5)
+    state = initialize(g, [[0], [1]], 1e-6)
+    assert evolve(state, gamma, np.int16(2)).t == 2
+    assert np.array_equal(diffusion_centrality_matrix(gamma, np.int64(2)), diffusion_centrality_matrix(gamma, 2))
+    assert best_response_dynamics(cfg, [[0], [1]], max_rounds=np.int64(1)).rounds == 1
+    assert eigenvector_weights(gamma, max_iter=np.int64(500)).iterations <= 500
 
 
 def test_gains_are_nonnegative_and_diminishing_fuzz():
