@@ -13,7 +13,7 @@ opinion converges toward.
 Operators are dense numpy arrays up to ``SPARSE_NODE_THRESHOLD`` nodes and
 ``scipy.sparse`` matrices above it.  scipy is imported only when a graph
 above the threshold builds its operator, so small-graph runs never load it.
-Only this module tells the formats apart (``_columns``, ``_entries``, ``_table_bytes``).
+Only this module tells the formats apart (``_columns``, ``_entries``, ``_held_entries``, ``_table_bytes``).
 """
 
 from __future__ import annotations
@@ -242,6 +242,12 @@ def _entries(table, items: int):
         yield np.repeat(np.arange(first, last), np.diff(indptr[first : last + 1])), table.indices[at], table.data[at]
 
 
+def _held_entries(table, items: int):
+    """``list(_entries(table, items))`` if dense and under a third full (24 bytes an entry, 8 a cell), else None."""
+    sparse_enough = isinstance(table, np.ndarray) and 3 * np.count_nonzero(table) < table.size
+    return list(_entries(table, items)) if sparse_enough else None
+
+
 def _table_bytes(table) -> int:
     """Memory held by a dense table, a compressed sparse table's three arrays, or an operator's entries."""
     table = getattr(table, "entries", table)
@@ -286,10 +292,13 @@ def eigenvector_weights(
     equation of ``entries`` within ``10 * tol``.
 
     Raises:
+        ValueError: when ``tol`` is not positive and finite.
         PowerIterationError: when the iteration budget runs out or the
             residual check fails; never silently returns a bad vector.
     """
     max_iter = _integer(max_iter, "non-integer max_iter")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     entries = gamma.entries
     identity = _identity(gamma)  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
     walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha

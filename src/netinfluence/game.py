@@ -152,8 +152,8 @@ def check_profile(cfg: GameConfig, profile) -> StrategyProfile:
 
 
 def check_opponents(cfg: GameConfig, i: int, s_minus_i) -> tuple[frozenset[int], ...]:
-    """Player ``i``'s index checked; its opponents (player order, ``i`` skipped) by ``check_seed_set``."""
-    if not 0 <= i < cfg.m:
+    """Player ``i``'s index checked, an integer; its opponents (player order, ``i`` skipped) by ``check_seed_set``."""
+    if not 0 <= _integer(i, "non-integer player index") < cfg.m:
         raise ValueError(f"player index {i} out of range for {cfg.m} players")
     others = list(s_minus_i)
     if len(others) != cfg.m - 1:

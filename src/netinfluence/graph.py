@@ -471,6 +471,7 @@ def build_counterexample(m: int, b: int) -> Graph:
         m: number of players the construction is sized for (at least 2).
         b: per-player budget the construction is sized for (at least 1).
     """
+    m, b = _integer(m, "non-integer player count"), _integer(b, "non-integer budget")
     if m < 2:
         raise ValueError("construction needs at least two players")
     if b < 1:
@@ -497,6 +498,8 @@ def random_graph(n: int, out_degree: int, seed: int) -> Graph:
         out_degree: out-edges per node, between 1 and ``n - 1``.
         seed: seed for the random number generator.
     """
+    n, out_degree = _integer(n, "non-integer node count"), _integer(out_degree, "non-integer out_degree")
+    seed = _integer(seed, "non-integer seed")
     if n < 2:
         raise ValueError("need at least two nodes")
     if not 1 <= out_degree < n:

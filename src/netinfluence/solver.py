@@ -8,7 +8,8 @@ seed sets (lowest node id for the greedy scan).
 One batched kernel, ``game._score``, rates arrays of candidate node ids
 against a stack of opponent configurations, chunk by chunk: ``_scan_best``
 feeds it the exact scan's blocks of combinations (``_combinations``), and
-``exhaustive_nash_check`` makes one pass per player.  Consensus exact best
+``exhaustive_nash_check`` makes one pass per player, against only the
+opponent combinations the earlier passes left stable.  Consensus exact best
 responses sort node scores built from the same terms (``_consensus_best``);
 greedy scores free nodes from the table's nonzero entries (``dynamics._entries``).
 A best response's reported payoff is its winner's ``table_payoffs`` value.
@@ -212,14 +213,16 @@ def greedy_best_response(
     and with budget one it is exact.  Ties go to the lowest node id; ``n + (n-1)
     + ... + (n-b+1)`` candidates are counted.  Adding ``v`` changes only the rows of
     column ``v``'s nonzero entries, so one pass over them scores every free node.
+    A dense table under a third full keeps its entries for the whole call.
     """
     others = check_opponents(cfg, i, s_minus_i)
     table = payoff_table(cfg, regime)
     own, total, own_gain, total_gain = (x[0] for x in _opponent_terms(table, others, cfg.epsilon))
     free = np.ones(cfg.n, dtype=bool)
+    held = dynamics._held_entries(table, step := game._chunk_items(1))
     for _ in range(min(cfg.budgets[i], cfg.n)):
         ratio, gains = own / total, np.zeros(cfg.n)
-        for cols, rows, vals in dynamics._entries(table, game._chunk_items(1)):
+        for cols, rows, vals in held or dynamics._entries(table, step):
             moved = (own[rows] + vals * own_gain[cols]) / (total[rows] + vals * total_gain[cols])
             gains += np.bincount(cols, weights=moved - ratio[rows], minlength=cfg.n)
         ids = np.flatnonzero(free)
@@ -246,29 +249,30 @@ def best_response_dynamics(
     full quiet round certifies a fixed point: with ``use_exact`` no player's
     exact best response improves on it (with greedy responders the
     certificate is only greedy-stability).  Revisiting an earlier round-start
-    profile proves the deterministic dynamics repeat forever.  Exact
-    responses raise ``EnumerationCapError`` past ``EXACT_ENUMERATION_CAP``
-    candidate sets.
+    profile proves the deterministic dynamics repeat forever.  A response to
+    a repeated query is computed once per run.  Exact responses raise
+    ``EnumerationCapError`` past ``EXACT_ENUMERATION_CAP`` candidate sets.
     """
     profile = check_profile(cfg, initial)
     max_rounds = _integer(max_rounds, "non-integer max_rounds")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least one")
     table = payoff_table(cfg, regime)
+    respond = exact_best_response if use_exact else greedy_best_response
 
     strategies = list(profile.strategies)
     seen: set[tuple[frozenset[int], ...]] = set()
+    answers: dict[tuple, BestResponse] = {}  # (player, opponents) -> its response, asked once a run
     trace: list[Move] = []
     kind = "max_rounds_exhausted"
     for rounds in range(1, max_rounds + 1):
         seen.add(tuple(strategies))
         changed = False
         for i in range(cfg.m):
-            others = [s for j, s in enumerate(strategies) if j != i]
-            if use_exact:
-                br = exact_best_response(cfg, i, others, regime=regime)
-            else:
-                br = greedy_best_response(cfg, i, others, regime=regime)
+            query = (i, tuple(s for j, s in enumerate(strategies) if j != i))
+            if query not in answers:
+                answers[query] = respond(cfg, *query, regime=regime)
+            br = answers[query]
             current = table_payoffs(table, tuple(strategies), cfg.epsilon)[i]
             if br.payoff > current + IMPROVEMENT_TOL:
                 trace.append(Move(i, strategies[i], br.strategy, float(br.payoff - current)))
@@ -294,10 +298,11 @@ def exhaustive_nash_check(
     switching to any other full-budget seed set; monotone payoffs make
     below-budget deviations no better, so the restriction loses nothing.
     Results come back in lexicographic profile order.  Each player's options
-    are scored in one kernel pass against every combination of the other
-    players' options, taken in blocks whose terms fill about one kernel chunk.
-    Memory peaks below the payoffs array, ``8 m`` bytes per profile, plus one
-    chunk's temporaries (a few times ``game._CHUNK_BYTES``).
+    are scored in one kernel pass against the others' option combinations
+    still stable at some option of that player, in blocks whose terms or
+    payoffs fill about a kernel chunk, each cut at once to its best-response
+    mask (every option within ``IMPROVEMENT_TOL`` of the best).  Memory peaks
+    near the mask, a byte per profile, plus a few ``game._CHUNK_BYTES``.
 
     Raises:
         EnumerationCapError: when the profile count exceeds ``cap``.
@@ -311,21 +316,18 @@ def exhaustive_nash_check(
         )
     options = [np.concatenate(list(_combinations(cfg.n, b))) for b in sizes]
     table = payoff_table(cfg, regime)
-    step = game._chunk_items(cfg.n)  # opponent combinations whose terms fill a chunk
     stable = np.ones(shape, dtype=bool)
     for j in range(cfg.m):
         rest = [k for k in range(cfg.m) if k != j]
-        # picks[:, x]: each opponent's option in combination x, the first opponent's slowest
-        picks = np.indices([shape[k] for k in rest]).reshape(len(rest), -1)
-        pays = np.empty((picks.shape[1], shape[j]))
-        for start in range(0, len(pays), step):
-            combos = picks[:, start : start + step]
+        view = np.moveaxis(stable, j, -1)  # [combination of the others' options] -> j's options
+        live = np.flatnonzero(view.any(axis=-1))  # the only ones that can change; first opponent slowest
+        step = game._chunk_items(max(cfg.n, shape[j]))  # combinations whose terms or payoffs fill a chunk
+        for start in range(0, len(live), step):
+            combos = np.unravel_index(live[start : start + step], view.shape[:-1])
             counts = _seed_counts(cfg.n, [options[k][x] for k, x in zip(rest, combos)])
             terms = _response_terms(table, counts, cfg.m, cfg.epsilon)
-            _score(table, terms, options[j], pays[start : start + step])
-        best = pays >= pays.max(axis=1, keepdims=True) - IMPROVEMENT_TOL
-        del pays  # freed before the next player's are built
-        stable &= np.moveaxis(best.reshape([shape[k] for k in rest] + [shape[j]]), -1, j)
+            pays = _score(table, terms, options[j], np.empty((len(counts), shape[j])))
+            view[combos] &= pays >= pays.max(axis=1, keepdims=True) - IMPROVEMENT_TOL
 
     return [
         StrategyProfile(options[j][x].tolist() for j, x in enumerate(idx))

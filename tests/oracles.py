@@ -11,11 +11,11 @@ package's array-built generators.
 ``validate_oracle`` checks a graph with adjacency lists and two graph searches.
 ``load_graph_oracle`` parses an edge list one line and one edge at a time, the
 way the package did before it stored graphs as arrays.
-``scan_best_oracle``, ``consensus_best_oracle``, ``greedy_oracle`` and
+``scan_best_oracle``, ``consensus_best_oracle``, ``greedy_oracle``, ``dynamics_oracle`` and
 ``exhaustive_nash_oracle`` are the exceptions: they are the solver loops that
 score one candidate or one profile per ``table_payoffs`` call, kept to pin the
-batched scoring kernel, the sorting consensus responder and the support-scoring
-greedy to them.
+batched scoring kernel, the sorting consensus responder, the support-scoring
+greedy and the dynamics' reuse of repeated responses to them.
 """
 
 from __future__ import annotations
@@ -327,3 +327,35 @@ def exhaustive_nash_oracle(cfg, regime: str = "horizon"):
         per_player = payoffs[..., j]
         stable &= per_player >= per_player.max(axis=j, keepdims=True) - IMPROVEMENT_TOL
     return [tuple(options[j][int(idx[j])] for j in range(cfg.m)) for idx in np.argwhere(stable)]
+
+
+def dynamics_oracle(cfg, initial, max_rounds: int = 100, use_exact: bool = True, regime: str = "horizon"):
+    """``solver.best_response_dynamics`` as ``(kind, canonical profile, moves, rounds)``, every move a
+    ``(player, old, new, delta)`` tuple: each query answered afresh, with no memo, by ``scan_best_oracle``
+    over every full-budget set (``greedy_oracle`` with ``use_exact`` off)."""
+    table = payoff_table(cfg, regime)
+    strategies = [frozenset(s) for s in initial]
+    seen, trace, kind = set(), [], "max_rounds_exhausted"
+    for rounds in range(1, max_rounds + 1):
+        seen.add(tuple(strategies))
+        changed = False
+        for i in range(cfg.m):
+            others = [s for j, s in enumerate(strategies) if j != i]
+            b = min(cfg.budgets[i], cfg.n)
+            if use_exact:
+                combos = np.array(list(itertools.combinations(range(cfg.n), b)), dtype=np.intp)
+                pay, best, _ = scan_best_oracle(table, i, others, cfg.epsilon, [combos])
+            else:
+                pay, best, _ = greedy_oracle(table, i, others, cfg.epsilon, b)
+            current = table_payoffs(table, tuple(strategies), cfg.epsilon)[i]
+            if pay > current + IMPROVEMENT_TOL:
+                trace.append((i, strategies[i], frozenset(best), float(pay - current)))
+                strategies[i] = frozenset(best)
+                changed = True
+        if not changed:
+            kind = "equilibrium"
+            break
+        if tuple(strategies) in seen:
+            kind = "cycle_detected"
+            break
+    return kind, tuple(tuple(sorted(s)) for s in strategies), trace, rounds

@@ -352,6 +352,15 @@ def test_power_iteration_budget_is_enforced():
         eigenvector_weights(influence_matrix(g, 0.5), max_iter=2)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
+def test_power_iteration_rejects_a_tolerance_not_positive_and_finite(tol):
+    # Before, 0, a negative tol and nan failed the fixed-point check "(residual 0.000e+00)",
+    # and inf returned the fourth iterate unconverged.
+    gamma = influence_matrix(random_graph(12, 3, seed=5), 0.5)
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got"):
+        eigenvector_weights(gamma, tol=tol)
+
+
 # --- consensus predicate -----------------------------------------------------
 
 

@@ -21,6 +21,8 @@ from netinfluence import (
     diffusion_centrality_matrix,
     eigenvector_weights,
     evolve,
+    exact_best_response,
+    greedy_best_response,
     influence_matrix,
     initialize,
     load_graph,
@@ -506,6 +508,37 @@ def test_every_count_takes_numpy_integers_as_ints():
     assert np.array_equal(diffusion_centrality_matrix(gamma, np.int64(2)), diffusion_centrality_matrix(gamma, 2))
     assert best_response_dynamics(cfg, [[0], [1]], max_rounds=np.int64(1)).rounds == 1
     assert eigenvector_weights(gamma, max_iter=np.int64(500)).iterations <= 500
+
+
+@pytest.mark.parametrize(
+    "bad, shown", [(2.5, "2.5"), (2.0, "2.0"), ("2", "'2'"), (np.float64(2.0), repr(np.float64(2.0)))]
+)
+def test_generator_arguments_and_player_indices_reject_non_integers(bad, shown):
+    # Before, these raised numpy's AxisError or a bare TypeError, or passed the index check and then failed.
+    cfg = GameConfig(graph=random_graph(10, 3, seed=1), budgets=(2, 2, 2), horizon=2)
+    calls = [
+        ("node count", lambda: random_graph(bad, 1, 1)),
+        ("out_degree", lambda: random_graph(10, bad, 1)),
+        ("seed", lambda: random_graph(10, 3, bad)),
+        ("player count", lambda: build_counterexample(bad, 1)),
+        ("budget", lambda: build_counterexample(2, bad)),
+        ("player index", lambda: exact_best_response(cfg, bad, [[1], [3]])),
+        ("player index", lambda: greedy_best_response(cfg, bad, [[1], [3]], regime="consensus")),
+        ("player index", lambda: marginal_gain(cfg, bad, set(), 0, [[1], [3]])),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as exc_info:
+            call()
+        assert str(exc_info.value) == f"non-integer {name} {shown}"
+
+
+def test_generator_arguments_and_player_indices_take_numpy_integers():
+    assert random_graph(np.int64(10), np.int32(3), np.uint16(1)) == random_graph(10, 3, 1)
+    assert build_counterexample(np.int64(2), np.int8(1)) == build_counterexample(2, 1)
+    cfg = GameConfig(graph=random_graph(10, 3, seed=1), budgets=(2, 1), horizon=2)
+    for respond in (exact_best_response, greedy_best_response):
+        assert respond(cfg, np.int64(1), [[0, 1]]) == respond(cfg, 1, [[0, 1]])
+    assert marginal_gain(cfg, np.int32(1), set(), 2, [[0, 1]]) == marginal_gain(cfg, 1, set(), 2, [[0, 1]])
 
 
 def test_gains_are_nonnegative_and_diminishing_fuzz():

@@ -30,8 +30,8 @@ from netinfluence import (
     utility,
     utility_closed_form,
 )
-from netinfluence import game, solver
-from oracles import singleton_equilibria_oracle, stationary_oracle
+from netinfluence import dynamics, game, solver
+from oracles import dynamics_oracle, greedy_oracle, singleton_equilibria_oracle, stationary_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
 
@@ -158,6 +158,35 @@ def test_greedy_evaluation_count():
     assert len(greedy.strategy) == 3
 
 
+@pytest.mark.parametrize("horizon, held", [(1, True), (2, True), (8, False)])
+def test_greedy_matches_oracle_holding_or_streaming_entries(horizon, held):
+    cfg = GameConfig(graph=random_graph(40, 2, seed=19), budgets=(3, 2), horizon=horizon)
+    table = payoff_table(cfg)
+    # A dense table under a third full is held; a full one streams its entries on each step.
+    assert (dynamics._held_entries(table, game._chunk_items(1)) is not None) == held
+    br = greedy_best_response(cfg, 0, [{5, 9}])
+    payoff, best, evaluations = greedy_oracle(table, 0, [{5, 9}], cfg.epsilon, 3)
+    assert (br.strategy, br.evaluations) == (frozenset(best), evaluations)
+    assert abs(br.payoff - payoff) <= 1e-12
+
+
+def test_greedy_memory_stays_within_the_table_when_it_holds_a_dense_tables_entries():
+    cfg = GameConfig(random_graph(300, 4, seed=1), (6, 6), horizon=3)
+    table = payoff_table(cfg)  # the cached table is not the response's memory
+    nonzeros = np.count_nonzero(table)
+    assert 3 * nonzeros < table.size
+    tracemalloc.start()
+    try:
+        greedy_best_response(cfg, 1, [set(range(6))])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Measured: 0.99 MB.  The table is 24% full, and its 22k held entries take 0.53 MB, against
+    # the table's own 0.72 MB; the rest is a block's temporaries and some n-vectors.
+    assert 24 * nonzeros < table.nbytes
+    assert peak < table.nbytes + 2 * game._CHUNK_BYTES + 16 * 8 * cfg.n
+
+
 # --- improvement dynamics ----------------------------------------------------
 
 
@@ -238,6 +267,43 @@ def test_dynamics_greedy_mode_runs():
     assert outcome.kind in {"equilibrium", "cycle_detected", "max_rounds_exhausted"}
 
 
+@pytest.mark.parametrize("regime", ["horizon", "consensus"])
+@pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "greedy"])
+@pytest.mark.parametrize(
+    "graph, budgets, horizon, initial",
+    [
+        (build_counterexample(2, 1), (1, 1), 1, [{0}, {0}]),
+        (build_counterexample(2, 2), (2, 2), 2, [{0, 1}, {3, 4}]),
+        (random_graph(9, 2, seed=4), (2, 2), 2, [{0, 1}, {2, 3}]),
+        (random_graph(8, 3, seed=61), (2, 1), 3, [{0, 1}, {2}]),
+        (random_graph(7, 2, seed=13), (1, 1, 1), 1, [{0}, {1}, {2}]),
+    ],
+)
+def test_dynamics_matches_oracle(graph, budgets, horizon, initial, use_exact, regime):
+    # The oracle asks every query afresh, one ``table_payoffs`` call per candidate.
+    cfg = GameConfig(graph=graph, budgets=budgets, horizon=horizon)
+    outcome = best_response_dynamics(cfg, initial, use_exact=use_exact, regime=regime)
+    kind, profile, moves, rounds = dynamics_oracle(cfg, initial, use_exact=use_exact, regime=regime)
+    assert (outcome.kind, outcome.profile.canonical(), outcome.rounds) == (kind, profile, rounds)
+    assert [m[:3] for m in outcome.trace] == [m[:3] for m in moves]
+    assert all(abs(m.delta - move[3]) <= 1e-12 for m, move in zip(outcome.trace, moves))
+
+
+def test_dynamics_asks_each_response_once(monkeypatch):
+    cfg = GameConfig(graph=build_counterexample(2, 2), budgets=(2, 2), horizon=2)
+    asked = []
+
+    def counted(cfg, i, s_minus_i, **kwargs):
+        asked.append((i, tuple(frozenset(s) for s in s_minus_i)))
+        return exact_best_response(cfg, i, s_minus_i, **kwargs)
+
+    monkeypatch.setattr(solver, "exact_best_response", counted)
+    outcome = best_response_dynamics(cfg, [{0, 1}, {0, 1}])
+    assert outcome.kind == "cycle_detected"
+    # A cycle returns to queries already answered; each is computed only once.
+    assert outcome.rounds * cfg.m > len(asked) == len(set(asked))
+
+
 # --- exhaustive search -------------------------------------------------------
 
 
@@ -303,6 +369,36 @@ def test_exhaustive_memory_stays_near_the_payoffs_array():
     # Measured: 1.47 MB, about three chunks above the payoffs array.  Scoring all
     # 210 candidates against all 210 opponent sets at once takes 7.4 MB per temporary.
     assert peak < payoffs + 4 * game._CHUNK_BYTES
+
+
+def test_exhaustive_later_passes_score_only_live_combinations(monkeypatch):
+    cfg = GameConfig(graph=build_counterexample(2, 2), budgets=(2, 2), horizon=2)
+    scored = {}  # candidate array -> opponent combinations scored against it
+
+    def spy(table, terms, nodes, out):
+        scored[id(nodes)] = scored.get(id(nodes), 0) + len(out)
+        return game._score(table, terms, nodes, out)
+
+    monkeypatch.setattr(solver, "_score", spy)
+    assert exhaustive_nash_check(cfg) == []
+    first, second = scored.values()
+    # Player 1's pass scores only player 0's options that best-respond to something.
+    assert first == math.comb(cfg.n, 2) > second
+
+
+def test_exhaustive_memory_stays_near_the_mask():
+    cfg = GameConfig(graph=random_graph(30, 3, seed=1), budgets=(2, 2), horizon=2)
+    profiles = math.comb(cfg.n, 2) ** 2  # 189,225
+    payoff_table(cfg)
+    tracemalloc.start()
+    try:
+        exhaustive_nash_check(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Measured: 1.67 MB, the 0.19 MB mask and under six chunks of blocks and their temporaries.
+    # A pass's whole payoff array, 8 bytes a profile before its cut to a mask, would pass 3 MB.
+    assert peak < 2 * profiles + 7 * game._CHUNK_BYTES
 
 
 def test_exhaustive_cap_is_enforced():
