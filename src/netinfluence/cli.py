@@ -72,10 +72,10 @@ class Report:
         return 0
 
 
-def _write(text: str, flush: bool = False):
-    """Write to stdout, then flush if asked; a failed write, such as to a full disk, is a one-line error."""
+def _write(*texts: str, flush: bool = False):
+    """Write the texts to stdout, then flush if asked; a failed write, such as to a full disk, is a one-line error."""
     try:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         if flush:
             sys.stdout.flush()
     except OSError as exc:
@@ -318,14 +318,13 @@ def cmd_generate(args) -> int:
         n, d, seed = args.random
         g = random_graph(n, d, seed)
         header = {"mode": "random", "nodes": n, "out_degree": d, "seed": seed}
-    comments = "".join(f"# {key} {value}\n" for key, value in header.items())
-    document = "# generated by netinfluence\n" + comments + dump_graph(g)
+    parts = ["# generated by netinfluence\n", *(f"# {key} {value}\n" for key, value in header.items()), dump_graph(g)]
     if not args.output:
-        _write(document, flush=True)
+        _write(*parts, flush=True)  # one part after another: the document is never copied whole
         return 0
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(document)
+            handle.writelines(parts)
     except OSError as exc:
         raise ValueError(f"cannot write graph file {args.output}: {exc.strerror}") from None
     header.pop("nodes", None)  # the report echoes the node count after the generator's parameters

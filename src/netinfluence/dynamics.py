@@ -226,11 +226,11 @@ def _columns(table, nodes: np.ndarray) -> np.ndarray:
 
 
 def _entries(table, items: int):
-    """A dense or compressed sparse column ``table``'s nonzero entries as ``(columns, rows, values)``
-    arrays, in blocks of whole columns of about ``items`` entries (a dense block: ``items`` cells)."""
+    """A dense or compressed sparse column ``table``'s nonzero entries as ``(columns, rows, values)`` arrays, in blocks
+    of whole columns of about ``items`` entries (dense: ``items // 4`` cells, as a block makes four arrays its size)."""
     height, width = table.shape
     if isinstance(table, np.ndarray):
-        for first in range(0, width, step := max(1, items // height)):
+        for first in range(0, width, step := max(1, items // (4 * height))):
             block = np.ascontiguousarray(table.T[first : first + step])
             cols, rows = np.divmod(at := np.flatnonzero(block != 0), height)
             yield cols + first, rows, block.ravel()[at]
@@ -243,9 +243,9 @@ def _entries(table, items: int):
 
 
 def _held_entries(table, items: int):
-    """``list(_entries(table, items))`` if dense and under a third full (24 bytes an entry, 8 a cell), else None."""
+    """Entries in a list of ``items``-cell blocks if dense, under a third full (24 B an entry, 8 a cell); else None."""
     sparse_enough = isinstance(table, np.ndarray) and 3 * np.count_nonzero(table) < table.size
-    return list(_entries(table, items)) if sparse_enough else None
+    return list(_entries(table, 4 * items)) if sparse_enough else None
 
 
 def _table_bytes(table) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -18,7 +19,7 @@ import numpy as np
 
 STOCHASTIC_TOL = 1e-9
 _MAX_NODE_COUNT = int(np.iinfo(np.int64).max)
-_CHUNK_LINES = 16384  # lines read at a time by load_graph
+_CHUNK_LINES = 16384  # lines read, or edges converted, at a time
 _FRONTIER_LEVELS = 64  # frontier rounds _reached_from_zero takes before counting them against nodes reached
 _FRONTIER_MIN_NODES = 300  # below this, a node-by-node walk beats a round's fixed numpy calls
 # An edge line as numpy's C line reader stores it; a longer keyword keeps a fifth character.
@@ -141,12 +142,51 @@ def _check_edges(
     raise _EdgeError(message, k)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class EdgeView(Sequence):
+    """A graph's ``(source, target, weight)`` triples from its ``_columns``: O(1) ``len``; Python ``int, int,
+    float`` by index, a tuple of triples by slice, ``_CHUNK_LINES`` at a time by iteration, the float ``E x 3``
+    array by ``np.asarray``.  Equal to any sequence of the same triples; reprs and pickles as their tuple."""
+
+    _columns: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __len__(self) -> int:
+        return self._columns[0].size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(zip(*(column[index].tolist() for column in self._columns)))
+        return tuple(column[operator.index(index)].item() for column in self._columns)
+
+    def __iter__(self):
+        for first in range(0, len(self), _CHUNK_LINES):
+            yield from zip(*(column[first : first + _CHUNK_LINES].tolist() for column in self._columns))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a graph's edges are stored as columns: their E x 3 array is a copy")
+        return np.column_stack(self._columns).astype(dtype or float, copy=False)
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeView):
+            return all(map(np.array_equal, self._columns, other._columns))
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class Graph:
     """Immutable weighted digraph on dense node ids.
 
     Stored as ``node_count`` and three read-only arrays in edge order:
-    ``src`` and ``dst`` (int64) and ``weight`` (float64).  ``edges`` builds
-    the ``(source, target, weight)`` triples from them on each access.
+    ``src`` and ``dst`` (int64) and ``weight`` (float64), and ``edges``, an
+    ``EdgeView`` of the ``(source, target, weight)`` triples they hold.
     The node count and ids are integers (what ``operator.index`` takes).
     Duplicate edges, self-loops and weights that are not finite and positive
     are rejected: a node's retention of its own opinion is a dynamics
@@ -154,7 +194,7 @@ class Graph:
     arrays are; the hash is computed once, when the graph is made.
     """
 
-    __slots__ = ("node_count", "src", "dst", "weight", "_hash")
+    __slots__ = ("node_count", "src", "dst", "weight", "edges", "_hash")
 
     def __init__(self, node_count: int, edges):
         node_count = _integer(node_count, "non-integer node count")
@@ -191,22 +231,14 @@ class Graph:
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "edges", EdgeView((src, dst, weight)))
         object.__setattr__(self, "_hash", hash(fingerprint))
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """``(source, target, weight)`` triples in edge order, built on each access."""
-        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return self is other or (
-            self._hash == other._hash
-            and self.node_count == other.node_count
-            and np.array_equal(self.src, other.src)
-            and np.array_equal(self.dst, other.dst)
-            and np.array_equal(self.weight, other.weight)
+            self._hash == other._hash and self.node_count == other.node_count and self.edges == other.edges
         )
 
     def __hash__(self) -> int:
@@ -434,12 +466,11 @@ def dump_graph(g: Graph) -> str:
     """Serialize a graph to the edge-list format accepted by ``load_graph``.
 
     Weights are written with 12 significant digits, which round-trips well
-    inside the validation tolerance.
+    inside the validation tolerance.  Edges are formatted ``_CHUNK_LINES`` at a time.
     """
-    lines = [f"nodes {g.node_count}"]
-    for u, v, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
-        lines.append(f"edge {u} {v} {format(w, '#.12g')}")
-    return "\n".join(lines) + "\n"
+    blocks = ([c[k : k + _CHUNK_LINES].tolist() for c in g.edges._columns] for k in range(0, g.src.size, _CHUNK_LINES))
+    lines = ("".join(map("edge {} {} {:#.12g}\n".format, *block)) for block in blocks)
+    return "".join([f"nodes {g.node_count}\n", *lines])
 
 
 def _generated(n: int, src: np.ndarray, dst: np.ndarray, raw: np.ndarray) -> Graph:

@@ -109,6 +109,18 @@ def test_generate_random_is_deterministic(capsys):
     assert first == second
 
 
+def test_generate_memory_stays_under_four_times_its_document(traced_peak):
+    # Measured: 7.7 MB for a 2.5 MB document.  Generating the graph peaks near 7.5 MB; writing it
+    # holds the graph's arrays (24 bytes an edge), the document's blocks and their join (twice the
+    # document) and one block's Python columns and lines.  Formatting every line before joining
+    # them, and joining the comments to the document, peaked at 18 MB.
+    sink = _CharCounter()
+    with contextlib.redirect_stdout(sink):
+        peak = traced_peak(main, ["generate", "--random", "20000", "4", "1"])
+    assert sink.count > 2_000_000
+    assert peak < 4 * sink.count
+
+
 # --- simulate ----------------------------------------------------------------
 
 

@@ -305,6 +305,93 @@ def test_graph_arrays_are_read_only():
         g.node_count = 4
 
 
+# --- the edge view -------------------------------------------------------------
+
+
+def test_edge_view_equals_any_sequence_of_the_same_triples_both_ways():
+    edges = Graph(3, EXACT).edges
+    for same in (EXACT, list(EXACT), Graph(3, EXACT).edges, Graph(4, EXACT).edges):
+        assert edges == same and same == edges
+        assert not (edges != same) and not (same != edges)
+    heavier = EXACT[:3] + ((2, 1, 0.75),)
+    for other in (heavier, Graph(3, heavier).edges, EXACT[:3], EXACT[::-1], (), EXACT + ((2, 0, 1.0),)):
+        assert edges != other and other != edges
+        assert not (edges == other) and not (other == edges)
+    assert edges != 4 and edges != {(0, 1, 0.5)}
+
+
+def test_edge_view_indexes_and_slices_like_the_tuple():
+    edges = Graph(3, EXACT).edges
+    assert len(edges) == 4
+    for k in range(-4, 4):
+        assert edges[k] == EXACT[k] and type(edges[k]) is tuple
+    assert edges[np.int64(1)] == EXACT[1]
+    for index in (4, -5):
+        with pytest.raises(IndexError):
+            edges[index]
+    with pytest.raises(TypeError):
+        edges[1.0]
+    for cut in (slice(1, 3), slice(None, None, -1), slice(5, 9), slice(-2, None), slice(None, None, 2)):
+        assert edges[cut] == EXACT[cut] and type(edges[cut]) is tuple
+    assert (0, 2, 1.0) in edges and edges.index((1, 0, 1.0)) == 2 and list(reversed(edges)) == list(EXACT[::-1])
+
+
+def test_edge_view_yields_python_ints_and_floats():
+    g = random_graph(40, 3, seed=4)
+    seen = 0
+    for u, v, w in g.edges:
+        assert type(u) is int and type(v) is int and type(w) is float
+        assert (u, v, w) == (g.src[seen], g.dst[seen], g.weight[seen])
+        seen += 1
+    assert seen == len(g.edges) == g.src.size
+    u, v, w = g.edges[-1]
+    assert (type(u), type(v), type(w)) == (int, int, float)
+
+
+def test_edge_view_iterates_across_block_boundaries(monkeypatch):
+    g = random_graph(30, 3, seed=6)
+    expected = tuple(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
+    for block in (1, 7, 90, graph._CHUNK_LINES):
+        monkeypatch.setattr(graph, "_CHUNK_LINES", block)
+        assert tuple(g.edges) == expected and g.edges == expected
+
+
+def test_edge_view_array_matches_the_tuples_array():
+    g = random_graph(50, 4, seed=8)
+    expected = np.asarray(tuple(g.edges), dtype=float)
+    got = np.asarray(g.edges, dtype=float)
+    assert got.shape == (200, 3) and got.dtype == np.float64 and np.array_equal(got, expected)
+    assert np.array_equal(np.asarray(g.edges), expected)
+    assert np.array_equal(np.asarray(g.edges, dtype=np.int64), np.asarray(tuple(g.edges), dtype=np.int64))
+    with pytest.raises(ValueError):
+        np.asarray(g.edges, copy=False)
+
+
+def test_graph_repr_and_pickle_are_unchanged():
+    g = Graph(3, EXACT)
+    assert repr(g) == (
+        "Graph(node_count=3, edges=((0, 1, 0.5), (0, 2, 1.0), (1, 0, 1.0), (2, 1, 0.5)))"
+    )
+    assert repr(g.edges) == repr(EXACT) and str(g.edges) == str(EXACT)
+    rebuild, args = g.__reduce__()
+    assert rebuild is Graph and args == (3, EXACT)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(g, protocol))
+        assert back == g and back.edges == EXACT and repr(back) == repr(g)
+        edges = pickle.loads(pickle.dumps(g.edges, protocol))
+        assert type(edges) is tuple and edges == EXACT
+
+
+def test_edge_view_memory_stays_near_a_block(traced_peak):
+    g = random_graph(20_000, 4, seed=2)
+    assert len(g.edges) == 80_000
+    # The triples as a tuple take about 13 MB.
+    assert traced_peak(lambda: len(g.edges)) < 64  # the returned int, at most
+    assert traced_peak(lambda: np.asarray(g.edges)) < 2 * (24 * g.src.size)
+    # Measured: 1.8 MB for the three columns of one block as Python lists.
+    assert traced_peak(lambda: sum(1 for _ in g.edges)) < 150 * graph._CHUNK_LINES
+
+
 def test_validate_two_cycle_clean():
     report = validate(load_graph(TWO_CYCLE))
     assert report.stochastic and report.strongly_connected

@@ -187,6 +187,16 @@ def test_greedy_memory_stays_within_the_table_when_it_holds_a_dense_tables_entri
     assert peak < table.nbytes + 2 * game._CHUNK_BYTES + 16 * 8 * cfg.n
 
 
+def test_greedy_memory_on_a_full_dense_table_stays_within_the_sparse_bound(traced_peak):
+    cfg = GameConfig(random_graph(300, 4, seed=1), (6, 6), horizon=8)
+    table = payoff_table(cfg)  # the cached table is not the response's memory
+    assert np.count_nonzero(table) == table.size  # full, so its entries are streamed
+    peak = traced_peak(greedy_best_response, cfg, 1, [set(range(6))])
+    # Measured: 0.74 MB.  Blocks of a whole chunk's cells made about five arrays that size
+    # apiece, and peaked at 2.9 MB; the CSC path's bound is the same.
+    assert peak < 8 * game._CHUNK_BYTES + 16 * 8 * cfg.n
+
+
 # --- improvement dynamics ----------------------------------------------------
 
 
