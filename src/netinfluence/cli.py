@@ -28,7 +28,16 @@ from .dynamics import (
     initialize,
 )
 from .game import GameConfig, StrategyProfile, _chunk_items, _mixing_matrix, _shares, check_profile
-from .graph import Graph, GraphFormatError, _LineError, build_counterexample, dump_graph, load_graph, random_graph
+from .graph import (
+    Graph,
+    GraphFormatError,
+    _LineError,
+    _tolerance,
+    build_counterexample,
+    dump_graph,
+    load_graph,
+    random_graph,
+)
 from .solver import (
     best_response_dynamics,
     exact_best_response,
@@ -160,6 +169,7 @@ def _resolve_regime(args, report: Report) -> tuple[str, int]:
 
 def cmd_simulate(args) -> int:
     report = Report("simulate", args.structured)
+    _tolerance(args.consensus_tol, "--consensus-tol")
     g = _read_graph(args.graph, args.normalize)
     profile = StrategyProfile(_read_players(args.strategies))
     budgets = args.budgets or tuple(max(1, len(s)) for s in profile)
@@ -334,84 +344,105 @@ def cmd_generate(args) -> int:
     return report.emit()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Subcommand name -> (help line, handler, last tier of shared flags it takes), in help order.
+_SUBCOMMANDS = {
+    "simulate": ("seed opinions, run the averaging dynamic, report payoffs", cmd_simulate, "game"),
+    "centrality": ("influence table at a horizon, or stationary weights", cmd_centrality, "graph"),
+    "best-response": ("one player's best seed set against fixed opponents", cmd_best_response, "regime"),
+    "nash": ("equilibrium search: improvement dynamics or exhaustive check", cmd_nash, "regime"),
+    "generate": ("write a graph in the edge-list format", cmd_generate, "layout"),
+}
+
+
+def _shared_flags(p: argparse.ArgumentParser, last: str):
+    """Add the flags shared by several subcommands, each declared once, tier by tier up to ``last``."""
+    depth = ("layout", "graph", "game", "regime").index(last)
+    p.add_argument("--structured", action="store_true", help="machine-oriented report layout")
+    if depth >= 1:
+        p.add_argument("--graph", required=True, help="edge-list graph file")
+        p.add_argument("--alpha", type=float, default=0.5, help="neighbor blending weight (default 0.5)")
+        p.add_argument("--normalize", action="store_true", help="rescale incoming weights to sum to one on load")
+    if depth >= 2:
+        p.add_argument("--epsilon", type=float, default=1e-6, help="background opinion for unseeded nodes")
+    if depth >= 3:
+        p.add_argument("--horizon", type=int, default=None, help="number of averaging steps")
+        p.add_argument("--consensus", action="store_true", help="stationary-regime payoffs instead of a horizon")
+
+
+def _add_subcommand(sub, name: str):
+    """Add subcommand ``name``'s parser: its shared flags, then its own, in the order its help lists them."""
+    help_text, func, last = _SUBCOMMANDS[name]
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func)
+    _shared_flags(p, last)
+    if name == "simulate":
+        p.add_argument("--strategies", required=True, help="strategy profile file")
+        p.add_argument("--horizon", type=int, required=True, help="number of averaging steps")
+        p.add_argument("--budgets", type=_budgets_arg, default=None, help="declared budgets, e.g. 2,2")
+        p.add_argument("--state", action="store_true", help="also print the final opinion matrix and consensus verdict")
+        p.add_argument("--trace", action="store_true", help="also print one opinion snapshot per step")
+        p.add_argument("--consensus-tol", type=float, default=1e-8, help="spread tolerance for the consensus verdict")
+    elif name == "centrality":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--horizon", type=int, help="emit the influence table after this many steps")
+        group.add_argument("--eigen", action="store_true", help="emit the stationary weights instead")
+    elif name == "best-response":
+        p.add_argument("--player", type=int, required=True, help="responding player index")
+        p.add_argument("--opponents", required=True, help="seed file for the other players")
+        p.add_argument("--budget", type=int, required=True, help="responding player's budget")
+        p.add_argument("--exact", action="store_true", help="exhaustive search over full-budget sets")
+        p.add_argument("--greedy", action="store_true", help="greedy marginal-gain search")
+    elif name == "nash":
+        p.add_argument("--budgets", type=_budgets_arg, required=True, help="per-player budgets, e.g. 2,2")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--dynamics", action="store_true", help="round-robin best-response play")
+        group.add_argument("--exhaustive", action="store_true", help="enumerate all full-budget profiles")
+        p.add_argument("--initial", default=None, help="starting profile file for --dynamics")
+        p.add_argument("--max-rounds", type=int, default=100)
+        p.add_argument("--greedy", action="store_true", help="greedy responders in --dynamics")
+    else:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument(
+            "--counterexample",
+            nargs=2,
+            type=int,
+            metavar=("M", "B"),
+            help="ring-with-petals family sized for M players of budget B",
+        )
+        group.add_argument(
+            "--random",
+            nargs=3,
+            type=int,
+            metavar=("N", "D", "SEED"),
+            help="random strongly connected graph: N nodes, out-degree D",
+        )
+        p.add_argument("--output", default=None, help="write to this file instead of stdout")
+
+
+def _build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, holding only subcommand ``name``'s parser when ``name`` is one, else all of them.
+
+    A one-subcommand parser reads that subcommand's argv as the full one
+    does, and its top-level usage still lists every subcommand.  The errors
+    that name the subcommand argument itself (none given, an unknown one)
+    only arise when the first argument is not a subcommand: the full build.
+    """
     parser = argparse.ArgumentParser(
         prog="netinfluence",
         description="Competitive opinion seeding on weighted digraphs",
     )
     parser.add_argument("--version", action="version", version=f"netinfluence {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    # Flags shared by several subcommands, each declared once; each parent extends the one before.
-    layout = argparse.ArgumentParser(add_help=False)
-    layout.add_argument("--structured", action="store_true", help="machine-oriented report layout")
-    graph = argparse.ArgumentParser(add_help=False, parents=[layout])
-    graph.add_argument("--graph", required=True, help="edge-list graph file")
-    graph.add_argument("--alpha", type=float, default=0.5, help="neighbor blending weight (default 0.5)")
-    graph.add_argument("--normalize", action="store_true", help="rescale incoming weights to sum to one on load")
-    game = argparse.ArgumentParser(add_help=False, parents=[graph])
-    game.add_argument("--epsilon", type=float, default=1e-6, help="background opinion for unseeded nodes")
-    regime = argparse.ArgumentParser(add_help=False, parents=[game])
-    regime.add_argument("--horizon", type=int, default=None, help="number of averaging steps")
-    regime.add_argument("--consensus", action="store_true", help="stationary-regime payoffs instead of a horizon")
-
-    p = sub.add_parser("simulate", parents=[game], help="seed opinions, run the averaging dynamic, report payoffs")
-    p.add_argument("--strategies", required=True, help="strategy profile file")
-    p.add_argument("--horizon", type=int, required=True, help="number of averaging steps")
-    p.add_argument("--budgets", type=_budgets_arg, default=None, help="declared budgets, e.g. 2,2")
-    p.add_argument("--state", action="store_true", help="also print the final opinion matrix and consensus verdict")
-    p.add_argument("--trace", action="store_true", help="also print one opinion snapshot per step")
-    p.add_argument("--consensus-tol", type=float, default=1e-8, help="spread tolerance for the consensus verdict")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("centrality", parents=[graph], help="influence table at a horizon, or stationary weights")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--horizon", type=int, help="emit the influence table after this many steps")
-    group.add_argument("--eigen", action="store_true", help="emit the stationary weights instead")
-    p.set_defaults(func=cmd_centrality)
-
-    p = sub.add_parser("best-response", parents=[regime], help="one player's best seed set against fixed opponents")
-    p.add_argument("--player", type=int, required=True, help="responding player index")
-    p.add_argument("--opponents", required=True, help="seed file for the other players")
-    p.add_argument("--budget", type=int, required=True, help="responding player's budget")
-    p.add_argument("--exact", action="store_true", help="exhaustive search over full-budget sets")
-    p.add_argument("--greedy", action="store_true", help="greedy marginal-gain search")
-    p.set_defaults(func=cmd_best_response)
-
-    p = sub.add_parser("nash", parents=[regime], help="equilibrium search: improvement dynamics or exhaustive check")
-    p.add_argument("--budgets", type=_budgets_arg, required=True, help="per-player budgets, e.g. 2,2")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dynamics", action="store_true", help="round-robin best-response play")
-    group.add_argument("--exhaustive", action="store_true", help="enumerate all full-budget profiles")
-    p.add_argument("--initial", default=None, help="starting profile file for --dynamics")
-    p.add_argument("--max-rounds", type=int, default=100)
-    p.add_argument("--greedy", action="store_true", help="greedy responders in --dynamics")
-    p.set_defaults(func=cmd_nash)
-
-    p = sub.add_parser("generate", parents=[layout], help="write a graph in the edge-list format")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--counterexample",
-        nargs=2,
-        type=int,
-        metavar=("M", "B"),
-        help="ring-with-petals family sized for M players of budget B",
-    )
-    group.add_argument(
-        "--random",
-        nargs=3,
-        type=int,
-        metavar=("N", "D", "SEED"),
-        help="random strongly connected graph: N nodes, out-degree D",
-    )
-    p.add_argument("--output", default=None, help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_generate)
-
+    one = name in _SUBCOMMANDS
+    choices = "{" + ",".join(_SUBCOMMANDS) + "}" if one else None  # as the full build's usage shows them
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=choices)
+    for key in [name] if one else _SUBCOMMANDS:
+        _add_subcommand(sub, key)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph, _integer, _spans, check_seed_ids, seed_set, validate
+from .graph import Graph, _integer, _spans, _tolerance, check_seed_ids, seed_set, validate
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -297,8 +297,7 @@ def eigenvector_weights(
             residual check fails; never silently returns a bad vector.
     """
     max_iter = _integer(max_iter, "non-integer max_iter")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    tol = _tolerance(tol)
     entries = gamma.entries
     identity = _identity(gamma)  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
     walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
@@ -333,6 +332,8 @@ def eigenvector_weights(
 
 
 def consensus_reached(state: OpinionState, tol: float) -> bool:
-    """True when every player's opinion column is flat across nodes within ``tol``."""
+    """True when every player's opinion column is flat across nodes within ``tol``,
+    which must be positive and finite (``graph._tolerance``)."""
+    tol = _tolerance(tol)
     spread = state.opinions.max(axis=0) - state.opinions.min(axis=0)
     return bool(np.all(spread < tol))

@@ -86,6 +86,13 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r}") from None
 
 
+def _tolerance(tol: float, what: str = "tol") -> float:
+    """``tol`` when positive and finite, else a ValueError ``<what> must be positive and finite``."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {tol!r}")
+    return tol
+
+
 def check_seed_ids(n: int, i: int, seeds) -> None:
     """Raise ValueError at player ``i``'s first seed id not an integer (``_integer``) in ``0 .. n - 1``."""
     non_integer = f"player {i} seeds non-integer node id"
@@ -319,8 +326,10 @@ def validate(g: Graph, tol: float = STOCHASTIC_TOL) -> ValidationReport:
 
     Args:
         g: the graph under test.
-        tol: allowed absolute deviation of each incoming weight sum from one.
+        tol: allowed absolute deviation of each incoming weight sum from one;
+            positive and finite (``_tolerance``), else a ValueError.
     """
+    tol = _tolerance(tol)
     n, src, dst = g.node_count, g.src, g.dst
     gaps = np.abs(np.bincount(dst, weights=g.weight, minlength=n) - 1.0)
     bad = np.flatnonzero(gaps > tol)

@@ -9,7 +9,12 @@ One batched kernel, ``game._score``, rates arrays of candidate node ids
 against a stack of opponent configurations, chunk by chunk: ``_scan_best``
 feeds it the exact scan's blocks of combinations (``_combinations``), and
 ``exhaustive_nash_check`` makes one pass per player, against only the
-opponent combinations the earlier passes left stable.  Consensus exact best
+opponent combinations the earlier passes left stable.  Against one
+configuration on a table of at most ``game._PRODUCT_NODES_PER_SEED`` nodes per
+seed, the exact scan's case on small games, each chunk is two matrix products
+of a 0/1 candidate-by-node matrix with the table's columns scaled by the
+opponents' gains; against the per-candidate products it won up to 16 nodes
+per seed, was mixed from 21 and lost at 32.  Consensus exact best
 responses sort node scores built from the same terms (``_consensus_best``);
 greedy scores free nodes from the table's nonzero entries (``dynamics._entries``).
 A best response's reported payoff is its winner's ``table_payoffs`` value.

@@ -190,6 +190,21 @@ def test_simulate_state_and_consensus_flag(capsys, two_cycle_file, two_cycle_see
     assert field(out, "consensus") == ["true"]
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+@pytest.mark.parametrize("state", [[], ["--state"]], ids=["payoffs", "state"])
+def test_simulate_rejects_a_consensus_tolerance_not_positive_and_finite(
+    capsys, two_cycle_file, two_cycle_seeds, tol, state
+):
+    # Before, -1 and nan printed "consensus false" for a flat state and exited 0.
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--graph", two_cycle_file, "--strategies", two_cycle_seeds,
+         "--horizon", "200", "--consensus-tol", tol, *state],
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --consensus-tol must be positive and finite, got") and err.count("\n") == 1
+
+
 def test_simulate_state_builds_the_operator_once(
     capsys, monkeypatch, two_cycle_file, two_cycle_seeds
 ):
@@ -783,6 +798,107 @@ def test_every_subcommand_keeps_its_flags_defaults_and_groups():
             for g in sub._mutually_exclusive_groups
         ]
         assert found_groups == groups, name
+
+
+# One argv per subcommand, touching its shared flags, its own flags and its groups.
+SAMPLE_ARGV = {
+    "simulate": ["--graph", "g", "--strategies", "s", "--horizon", "3", "--budgets", "2,2", "--state",
+                 "--consensus-tol", "1e-6", "--alpha", "0.3"],
+    "centrality": ["--eigen", "--graph", "g", "--normalize", "--structured"],
+    "best-response": ["--graph", "g", "--player", "1", "--opponents", "o", "--budget", "2", "--exact",
+                      "--consensus", "--epsilon", "1e-4"],
+    "nash": ["--graph", "g", "--budgets", "2,2", "--dynamics", "--horizon", "2", "--max-rounds", "5"],
+    "generate": ["--random", "10", "3", "7", "--output", "x", "--structured"],
+}
+TOP_USAGE = """usage: netinfluence [-h] [--version]
+                    {simulate,centrality,best-response,nash,generate} ...
+"""
+TOP_HELP = TOP_USAGE + """
+Competitive opinion seeding on weighted digraphs
+
+positional arguments:
+  {simulate,centrality,best-response,nash,generate}
+    simulate            seed opinions, run the averaging dynamic, report
+                        payoffs
+    centrality          influence table at a horizon, or stationary weights
+    best-response       one player's best seed set against fixed opponents
+    nash                equilibrium search: improvement dynamics or exhaustive
+                        check
+    generate            write a graph in the edge-list format
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+def subparsers(parser):
+    """Subcommand name -> parser, as built into ``parser``."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def parse_exit(parser, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(FLAGS))
+def test_one_subcommand_parser_reads_as_the_full_build(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = cli._build_parser(name), cli._build_parser()
+    assert list(subparsers(one)) == [name]
+    assert one.format_usage() == full.format_usage() == TOP_USAGE
+    assert subparsers(one)[name].format_help() == subparsers(full)[name].format_help()
+    assert subparsers(one)[name].format_usage() == subparsers(full)[name].format_usage()
+    argv = [name, *SAMPLE_ARGV[name]]
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    assert one.parse_args(argv).func.__name__ == "cmd_" + name.replace("-", "_")
+    # Help, a flag no subcommand has, a stray positional (a top-level error) and missing flags.
+    for bad in ([name, "--help"], [name, "--bogus"], [*argv, "stray"], [name]):
+        expected = parse_exit(full, bad, capsys)
+        assert expected[0] == (0 if "--help" in bad else 2)
+        assert parse_exit(one, bad, capsys) == expected, bad
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--help"], 0, TOP_HELP, ""),
+        (["--version"], 0, f"netinfluence {cli.__version__}\n", ""),
+        ([], 2, "", TOP_USAGE + "netinfluence: error: the following arguments are required: subcommand\n"),
+        (["--structured"], 2, "", TOP_USAGE + "netinfluence: error: the following arguments are required: subcommand\n"),
+    ],
+    ids=["help", "version", "empty", "flag-first"],
+)
+def test_top_level_text_lists_every_subcommand(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_unknown_subcommand_names_every_choice(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    err = capsys.readouterr().err
+    prefix = TOP_USAGE + "netinfluence: error: argument subcommand: invalid choice: 'frobnicate' (choose from "
+    assert exc.value.code == 2 and err.startswith(prefix) and err.count("\n") == 3
+    assert [name for name in FLAGS if name in err[len(prefix):]] == list(FLAGS)
+
+
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda name=None: built.append(name) or build(name))
+    for argv in (["generate", "--counterexample", "2", "1"], ["--version"], ["nash", "--help"]):
+        with contextlib.suppress(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == ["generate", "--version", "nash"]
 
 
 @pytest.fixture(scope="module")

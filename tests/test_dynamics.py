@@ -374,3 +374,11 @@ def test_consensus_predicate_on_uniform_state():
 def test_consensus_predicate_on_fresh_seeded_state():
     state = initialize(random_graph(5, 1, seed=7), [{0}, {1}], 1e-6)
     assert not consensus_reached(state, 1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_consensus_predicate_rejects_a_tolerance_not_positive_and_finite(tol):
+    # Before, a negative tol or nan gave a false verdict and inf a true one.
+    state = initialize(random_graph(5, 1, seed=7), [{0}, {1}], 1e-6)
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got"):
+        consensus_reached(state, tol)

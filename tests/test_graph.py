@@ -444,6 +444,14 @@ def test_validate_flags_disconnected_components():
     assert all(math.isinf(d) for _, d in report.offending_nodes)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_validate_rejects_a_tolerance_not_positive_and_finite(tol):
+    # Before, nan passed a 3-cycle whose node 0 has in-weight 0.5 as stochastic.
+    g = Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5)))
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got"):
+        validate(g, tol=tol)
+
+
 def test_validate_single_node_graph():
     report = validate(Graph(1, ()))
     assert report.strongly_connected

@@ -5,7 +5,8 @@ Random small games: random strongly connected graphs, and directed rings whose
 opponents seed every ``d``-th node, so that rotating a candidate by ``d``
 gives an exactly tied payoff.  The two-cycle and the ring-with-petals graph of
 ``build_counterexample(2, 1)`` are symmetric too, so many seed sets tie
-exactly there.  Opponents may share seeds.
+exactly there.  Opponents may share seeds.  The kernel and exact-scan checks run
+with the small-table product of ``game._score`` off and on, whatever the table's size.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,9 +26,11 @@ from netinfluence import (
     Graph,
     build_counterexample,
     consensus_equilibrium,
+    diffusion_centrality_matrix,
     exact_best_response,
     exhaustive_nash_check,
     greedy_best_response,
+    influence_matrix,
     payoff_table,
     random_graph,
     table_payoffs,
@@ -36,6 +40,11 @@ from netinfluence.game import _opponent_terms, _score, assemble_profile
 from oracles import consensus_best_oracle, exhaustive_nash_oracle, greedy_oracle, scan_best_oracle
 
 REGIMES = ("horizon", "consensus")
+PRODUCT_RATIOS = (0, math.inf)  # game._PRODUCT_NODES_PER_SEED: the small-table product never, then always
+
+
+def product(ratio):
+    return mock.patch("netinfluence.game._PRODUCT_NODES_PER_SEED", ratio)
 
 
 @st.composite
@@ -79,16 +88,17 @@ def games(draw, max_nodes=9, max_players=3, max_budget=3):
 @given(games())
 def test_kernel_matches_table_payoffs(game):
     cfg, i, others = game
-    for regime in REGIMES:
+    for regime, ratio in itertools.product(REGIMES, PRODUCT_RATIOS):
         table = payoff_table(cfg, regime)
         terms = _opponent_terms(table, others, cfg.epsilon)
         for size in range(1, min(cfg.budgets[i], cfg.n) + 1):
             candidates = list(itertools.combinations(range(cfg.n), size))
             nodes = np.array(candidates, dtype=np.intp)
-            pays = _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
+            with product(ratio):
+                pays = _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
             for cand, pay in zip(candidates, pays):
                 ref = table_payoffs(table, assemble_profile(i, cand, others), cfg.epsilon)[i]
-                assert abs(pay - ref) <= 1e-12, (regime, cand)
+                assert abs(pay - ref) <= 1e-12, (regime, ratio, cand)
 
 
 @given(games())
@@ -104,14 +114,17 @@ def test_best_responses_match_per_candidate_scan(game):
             greedy_best_response(cfg, i, others, regime=regime) for regime in REGIMES
         ]
 
-    fast = scanned()
     with mock.patch.object(solver, "_scan_best", scan_best_oracle):
-        assert fast[0] == scanned()[0]
+        expected = scanned()[0]
+    for ratio in PRODUCT_RATIOS:
+        with product(ratio):
+            fast = scanned()
+            assert fast[0] == expected, ratio
+            with mock.patch("netinfluence.game._CHUNK_BYTES", 1):
+                assert fast == scanned(), ratio
     for regime, br in zip(REGIMES, fast[1:]):
         payoff, best, evaluations = greedy_oracle(payoff_table(cfg, regime), i, others, cfg.epsilon, b)
         assert br == solver.BestResponse(frozenset(best), payoff, evaluations), regime
-    with mock.patch("netinfluence.game._CHUNK_BYTES", 1):
-        assert fast == scanned()
 
     br = exact_best_response(cfg, i, others, regime="consensus")
     table = payoff_table(cfg, "consensus")
@@ -146,3 +159,22 @@ def test_exhaustive_matches_per_profile_check(game):
     for regime in REGIMES:
         found = [p.canonical() for p in exhaustive_nash_check(cfg, regime=regime)]
         assert found == exhaustive_nash_oracle(cfg, regime), regime
+
+
+@pytest.mark.parametrize("ratio", PRODUCT_RATIOS, ids=["batched", "product"])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_exact_scan_of_a_csc_table_matches_the_dense_oracle(ratio, size):
+    """An operator built sparse gives a compressed sparse column table at short horizons;
+    both kernel paths must score it as the per-candidate scan scores the dense table."""
+    graph = random_graph(40, 2, seed=5)
+    others = [frozenset({3, 17}), frozenset({17, 30})]
+    with mock.patch("netinfluence.dynamics.SPARSE_NODE_THRESHOLD", 1):
+        table = diffusion_centrality_matrix(influence_matrix(graph, 0.5), 2)
+    assert table.format == "csc"
+    dense = table.toarray()
+    combinations = list(solver._combinations(graph.node_count, size))
+    expected = scan_best_oracle(dense, 1, others, 1e-6, combinations)
+    with product(ratio), mock.patch("netinfluence.game._CHUNK_BYTES", 1 << 12):  # several chunks
+        found = solver._scan_best(table, 1, others, 1e-6, combinations)
+    assert found[1:] == expected[1:]
+    assert abs(found[0] - expected[0]) <= 1e-12
