@@ -34,7 +34,7 @@ DEFAULT_EIGEN_MAX_ITER = 1_000_000
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge or produced a bad fixed point."""
+    """No stationary weights: power iteration ran out of rounds, or the result failed its fixed-point check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +262,8 @@ class ConsensusWeights:
 
     Strictly positive and summing to one; every opinion converges to its
     weighted average of the initial opinions under these weights.
-    ``iterations`` counts the power-iteration rounds run and ``residual`` is
-    the max-norm fixed-point error of ``weights`` (see ``eigenvector_weights``).
+    ``iterations`` counts power-iteration rounds (0 when a dense solve served) and
+    ``residual`` is ``max |weights @ entries - weights|`` (see ``eigenvector_weights``).
     """
 
     weights: np.ndarray
@@ -271,63 +271,63 @@ class ConsensusWeights:
     residual: float = np.nan
 
 
-def eigenvector_weights(
-    gamma: InfluenceMatrix,
-    tol: float = DEFAULT_EIGEN_TOL,
-    max_iter: int = DEFAULT_EIGEN_MAX_ITER,
-) -> ConsensusWeights:
-    """Power iteration for the stationary weights ``c`` with ``c = c @ entries``.
+def eigenvector_weights(gamma: InfluenceMatrix) -> ConsensusWeights:
+    """The stationary weights ``c``, with ``c = c @ entries`` and unit sum.
 
-    The operator ``(1 - alpha) I + alpha W`` shares its left fixed point with
-    the lazy walk ``(I + W) / 2``, which converges at a rate independent of
-    ``alpha``; the iteration runs on the lazy walk, with ``W`` recovered from
-    ``entries``.  It starts from the uniform vector, renormalizes to unit sum
-    each round, and stops once the step (the largest change of the last
-    round relative to its weight, as payoffs move with the relative error of
-    weights near ``1 / n``) is below ``tol`` and so is the estimated distance
-    to the fixed point, ``step * rate / (1 - rate)`` with ``rate`` the ratio of
-    the step to the smallest one before, or once that ratio is at least one,
-    which leaves only rounding noise; either must hold on three rounds
-    running.  The result is checked to satisfy the fixed-point
-    equation of ``entries`` within ``10 * tol``.
+    A dense operator solves ``(entries.T - I) c = 0``, its last equation
+    replaced by ``sum(c) = 1``, once by LU: O(n^3) however slowly the graph
+    mixes.  A sparse operator, or a solve that leaves a weight non-positive
+    (weights below LU's absolute error, as on graphs that drift toward one
+    end), runs power iteration on the lazy walk ``(I + W) / 2``, which keeps
+    weights positive and shares the fixed point of ``(1 - alpha) I + alpha W``
+    at a rate free of ``alpha``.  From the uniform vector, renormalized each
+    round, it stops when, on three rounds running, the step (a round's largest
+    change relative to its weight: payoffs move with the relative error of
+    weights near ``1 / n``) is below ``DEFAULT_EIGEN_TOL`` and so is the
+    estimated distance to go, ``step * rate / (1 - rate)``, or ``rate``, the
+    step over the smallest before it, is at least one (rounding noise).  The
+    weights must be positive and meet ``c = c @ entries`` within ten times it.
 
     Raises:
-        ValueError: when ``tol`` is not positive and finite.
-        PowerIterationError: when the iteration budget runs out or the
-            residual check fails; never silently returns a bad vector.
+        PowerIterationError: after ``DEFAULT_EIGEN_MAX_ITER`` rounds, or when
+            the result fails the check; never silently returns a bad vector.
     """
-    max_iter = _integer(max_iter, "non-integer max_iter")
-    tol = _tolerance(tol)
-    entries = gamma.entries
-    identity = _identity(gamma)  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
-    walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
-    transposed = ((identity + walk) / 2).T
-    c = np.full(gamma.n, 1.0 / gamma.n)
-    floor = np.nan  # the smallest step so far; none yet, so the first round has no rate and no estimate
-    settled = 0  # rounds in a row that passed the stopping test
-    for iterations in range(1, max_iter + 1):
-        nxt = transposed @ c
-        nxt /= nxt.sum()
-        step = np.max(np.abs(nxt - c) / nxt)
-        rate, floor, c = step / floor, min(step, floor), nxt  # min skips the first round's nan
-        # Steps shrinking at rate r < 1 leave about step * r / (1 - r) to go;
-        # steps below tol that set no new low are rounding noise, which can
-        # alternate in the last bit.  The rate can sag below the settled one
-        # for twenty rounds, so that the estimate reads a third low; two more
-        # passing rounds shrink the error by that.
-        passed = step < tol and (rate >= 1 or step * rate < tol * (1 - rate))
-        settled = settled + 1 if passed else 0
-        if step == 0 or settled == 3:
-            break
-    else:
-        raise PowerIterationError(
-            f"no convergence after {max_iter} iterations (smallest step {floor:.3e})"
-        )
+    entries, n, tol = gamma.entries, gamma.n, DEFAULT_EIGEN_TOL
+    if isinstance(entries, np.ndarray):
+        system = entries.T.copy()  # the one n x n array built here; solve makes its own working copy
+        system.flat[:: n + 1] -= 1.0
+        system[-1] = 1.0
+        target = np.zeros(n)
+        target[-1] = 1.0
+        c, iterations = np.linalg.solve(system, target), 0
+    if not (isinstance(entries, np.ndarray) and np.all(c > 0)):
+        identity = _identity(gamma)  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
+        walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
+        transposed = ((identity + walk) / 2).T
+        c = np.full(n, 1.0 / n)
+        floor = np.nan  # the smallest step so far; none yet, so the first round has no rate and no estimate
+        settled = 0  # rounds in a row that passed the stopping test
+        for iterations in range(1, DEFAULT_EIGEN_MAX_ITER + 1):
+            nxt = transposed @ c
+            nxt /= nxt.sum()
+            step = np.max(np.abs(nxt - c) / nxt)
+            rate, floor, c = step / floor, min(step, floor), nxt  # min skips the first round's nan
+            # Steps shrinking at rate r < 1 leave about step * r / (1 - r) to go;
+            # steps below tol that set no new low are rounding noise, which can
+            # alternate in the last bit.  The rate can sag below the settled one
+            # for twenty rounds, so that the estimate reads a third low; two more
+            # passing rounds shrink the error by that.
+            passed = step < tol and (rate >= 1 or step * rate < tol * (1 - rate))
+            settled = settled + 1 if passed else 0
+            if step == 0 or settled == 3:
+                break
+        else:
+            raise PowerIterationError(
+                f"no convergence after {DEFAULT_EIGEN_MAX_ITER} iterations (smallest step {floor:.3e})"
+            )
     residual = np.max(np.abs(entries.T @ c - c))
-    if not residual < 10 * tol:
-        raise PowerIterationError(
-            f"converged iterate fails the fixed-point check (residual {residual:.3e})"
-        )
+    if not (residual < 10 * tol and np.all(c > 0)):
+        raise PowerIterationError(f"weights fail the check (residual {residual:.3e}, smallest {c.min():.3e})")
     return ConsensusWeights(c, iterations, float(residual))
 
 

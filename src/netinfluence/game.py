@@ -224,7 +224,7 @@ def _horizon_table(graph: Graph, alpha: float, horizon: int) -> np.ndarray | _sp
     return diffusion_centrality_matrix(_mixing_matrix(graph, alpha), horizon - lower, _start=start)
 
 
-# One row per graph (c Gamma = c iff c W = c), from the alpha = 1/2 operator: exactly the lazy walk (I + W) / 2.
+# One row per graph: c Gamma = c iff c W = c, so the alpha = 1/2 operator serves for every alpha.
 @_cache_by_bytes(1 << 28)
 def _consensus_table(graph: Graph) -> np.ndarray:
     return eigenvector_weights(_mixing_matrix(graph, 0.5)).weights[None, :]

@@ -27,7 +27,7 @@ from array import array
 import numpy as np
 
 from netinfluence.game import assemble_profile, payoff_table, table_payoffs
-from netinfluence.graph import STOCHASTIC_TOL, GraphFormatError, ValidationReport
+from netinfluence.graph import STOCHASTIC_TOL, Graph, GraphFormatError, ValidationReport
 from netinfluence.solver import IMPROVEMENT_TOL
 
 
@@ -181,6 +181,41 @@ def stationary_solve_oracle(g, alpha: float) -> np.ndarray:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     return np.linalg.solve(system, rhs)
+
+
+def stationary_power_oracle(g, alpha: float) -> np.ndarray:
+    """Stationary weights as a row of a high power of the dense operator.
+
+    Squares the operator (``P <- P @ P``, rows renormalized to unit sum) until
+    every column agrees across rows to 1e-14 relative (1e-15 is below the
+    rounding noise of a 300-node product) and returns the mean row: products
+    only, so it shares no arithmetic with a linear solve, and ``k`` squarings
+    take ``2**k`` steps, however slowly the graph mixes.
+    """
+    power = build_mixing(g, alpha)
+    for _ in range(100):
+        power = power @ power
+        power /= power.sum(axis=1, keepdims=True)
+        low, high = power.min(axis=0), power.max(axis=0)
+        if np.all(high - low <= 1e-14 * low):
+            return power.mean(axis=0)
+    raise AssertionError("the rows of the squared operator never agreed")
+
+
+def weighted_ring(n: int, seed: int):
+    """A slow-mixing ring: node ``v`` takes ``p_v`` from ``v - 1`` and ``1 - p_v``
+    from ``v + 1``, with ``p_v`` uniform in [0.1, 0.9] from ``default_rng(seed)``."""
+    p = np.random.default_rng(seed).uniform(0.1, 0.9, n)
+    edges = [((v - 1) % n, v, p[v]) for v in range(n)] + [((v + 1) % n, v, 1.0 - p[v]) for v in range(n)]
+    return Graph(n, edges)
+
+
+def drifting_path(n: int, q: float):
+    """A bidirected path whose interior node ``v`` takes ``q`` from ``v + 1`` and
+    ``1 - q`` from ``v - 1``: stationary weights fall geometrically toward node 0."""
+    edges = [(1, 0, 1.0), (n - 2, n - 1, 1.0)]
+    edges += [e for v in range(1, n - 1) for e in ((v + 1, v, q), (v - 1, v, 1.0 - q))]
+    return Graph(n, edges)
 
 
 def initial_opinions_oracle(g, seed_sets, epsilon: float) -> np.ndarray:

@@ -28,6 +28,7 @@ from netinfluence import (
     utility,
 )
 from netinfluence.cli import main
+from oracles import weighted_ring
 
 TWO_CYCLE_TEXT = "nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"
 ROOT = Path(__file__).resolve().parent.parent
@@ -323,6 +324,17 @@ def test_centrality_lines_match_per_element_rendering(capsys, tmp_path, monkeypa
         table = table if isinstance(table, np.ndarray) else table.toarray()
         expected = [f"influence {v} " + " ".join(cli.fmt(x) for x in table[:, v]) for v in range(120)]
     assert [line for line in out.splitlines() if line.startswith(("weight", "influence"))] == expected
+
+
+def test_centrality_eigen_finishes_on_a_slow_ring(capsys, tmp_path):
+    # Power iteration printed "error: no convergence after 1000000 iterations" here, after 14 s.
+    text = dump_graph(weighted_ring(200, 2))
+    gpath = tmp_path / "ring.graph"
+    gpath.write_text(text)
+    code, out, err = run_cli(capsys, ["centrality", "--graph", str(gpath), "--eigen", "--structured"])
+    assert code == 0 and err == ""
+    weights = dynamics.eigenvector_weights(dynamics.influence_matrix(load_graph(text), 0.5)).weights
+    assert field(out, "weight") == [f"{v} {cli.fmt(w)}" for v, w in enumerate(weights)]
 
 
 class _CharCounter(io.TextIOBase):

@@ -25,9 +25,12 @@ from netinfluence import (
 from netinfluence import dynamics
 from oracles import (
     build_mixing,
+    drifting_path,
     initial_opinions_oracle,
     stationary_oracle,
+    stationary_power_oracle,
     stationary_solve_oracle,
+    weighted_ring,
 )
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -313,8 +316,10 @@ def test_stationary_weights_uniform_for_doubly_stochastic():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_stationary_weights_match_linear_solve(seed):
+    # Power iteration runs on sparse operators only, so the operator is built sparse.
     g = random_graph(12, 3, seed=seed)
-    gamma = influence_matrix(g, 0.5)
+    with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", 1):
+        gamma = influence_matrix(g, 0.5)
     found = eigenvector_weights(gamma)
     ours = found.weights
     assert np.max(np.abs(ours - stationary_oracle(g, 0.5))) < 1e-9
@@ -324,9 +329,11 @@ def test_stationary_weights_match_linear_solve(seed):
     assert found.residual == np.max(np.abs(gamma.entries.T @ ours - ours))
     assert found.iterations >= 1
     # The reported count is exactly the budget the iteration needs.
-    assert eigenvector_weights(gamma, max_iter=found.iterations).weights.tolist() == ours.tolist()
-    with pytest.raises(PowerIterationError, match="no convergence"):
-        eigenvector_weights(gamma, max_iter=found.iterations - 1)
+    with mock.patch.object(dynamics, "DEFAULT_EIGEN_MAX_ITER", found.iterations):
+        assert eigenvector_weights(gamma).weights.tolist() == ours.tolist()
+    with mock.patch.object(dynamics, "DEFAULT_EIGEN_MAX_ITER", found.iterations - 1):
+        with pytest.raises(PowerIterationError, match="no convergence"):
+            eigenvector_weights(gamma)
 
 
 def test_stationary_weights_counterexample_against_oracle():
@@ -339,26 +346,59 @@ def test_stationary_weights_counterexample_against_oracle():
 @pytest.mark.parametrize("alpha", [0.001, 0.5, 0.999])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stationary_weights_match_dense_solve_at_any_alpha(seed, alpha, threshold):
+    # A dense operator is solved by LU, so it is checked against squaring, which shares none of it.
     g = random_graph(80, 4, seed=seed)
     with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", threshold):
         gamma = influence_matrix(g, alpha)
     ours = eigenvector_weights(gamma).weights
-    assert np.max(np.abs(ours - stationary_solve_oracle(g, alpha))) < 1e-10
+    oracle = stationary_power_oracle if isinstance(gamma.entries, np.ndarray) else stationary_solve_oracle
+    assert np.max(np.abs(ours - oracle(g, alpha))) < 1e-10
+
+
+# Rings of 100-300 nodes, seeds 1-5, on which power iteration ran out of its 10**6 rounds (17) or
+# stopped off by more than 1e-8 relative (4); it met the bounds on seeds 1, 3 and 4 at 100 nodes and 4 at 150.
+SLOW_RINGS = [(n, s) for n in (100, 150, 200, 250, 300) for s in range(1, 6)
+              if (n, s) not in {(100, 1), (100, 3), (100, 4), (150, 4)}]
+
+
+@pytest.mark.parametrize("n, seed", SLOW_RINGS)
+def test_stationary_weights_of_slow_rings_match_squaring(n, seed):
+    g = weighted_ring(n, seed)
+    gamma = influence_matrix(g, 0.5)
+    found = eigenvector_weights(gamma)
+    expected = stationary_power_oracle(g, 0.5)
+    assert np.all(found.weights > 0)
+    assert np.max(np.abs(found.weights - expected)) < 1e-10
+    assert np.max(np.abs(found.weights - expected) / expected) < 1e-8
+    assert found.iterations == 0
+    assert found.residual == np.max(np.abs(gamma.entries.T @ found.weights - found.weights))
+
+
+@pytest.mark.parametrize("n, q", [(20, 0.99), (50, 0.75), (100, 0.6), (100, 0.9)])
+def test_weights_below_the_solve_error_fall_back_to_power_iteration(n, q):
+    # LU returns weights near -1e-17 where the true ones are 1e-10 to 1e-95; power iteration keeps them positive.
+    g = drifting_path(n, q)
+    found = eigenvector_weights(influence_matrix(g, 0.5))
+    expected = stationary_power_oracle(g, 0.5)
+    assert found.iterations >= 1 and np.all(found.weights > 0)
+    assert np.max(np.abs(found.weights - expected)) < 1e-10
+    assert np.max(np.abs(found.weights - expected) / expected) < 1e-8
+
+
+def test_dense_stationary_weights_build_one_operator_copy(traced_peak):
+    # The system is the one n x n array numpy allocates (LAPACK's working copy is not traced);
+    # power iteration held three, and an identity or a row sliced from one would add another.
+    n = 1500
+    gamma = influence_matrix(random_graph(n, 4, seed=1), 0.5)
+    assert traced_peak(eigenvector_weights, gamma) <= 1.1 * n * n * 8
 
 
 def test_power_iteration_budget_is_enforced():
-    g = random_graph(12, 3, seed=5)
-    with pytest.raises(PowerIterationError, match="no convergence"):
-        eigenvector_weights(influence_matrix(g, 0.5), max_iter=2)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
-def test_power_iteration_rejects_a_tolerance_not_positive_and_finite(tol):
-    # Before, 0, a negative tol and nan failed the fixed-point check "(residual 0.000e+00)",
-    # and inf returned the fourth iterate unconverged.
-    gamma = influence_matrix(random_graph(12, 3, seed=5), 0.5)
-    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got"):
-        eigenvector_weights(gamma, tol=tol)
+    with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", 1):
+        gamma = influence_matrix(random_graph(12, 3, seed=5), 0.5)
+    with mock.patch.object(dynamics, "DEFAULT_EIGEN_MAX_ITER", 2):
+        with pytest.raises(PowerIterationError, match="no convergence after 2 iterations"):
+            eigenvector_weights(gamma)
 
 
 # --- consensus predicate -----------------------------------------------------

@@ -19,7 +19,6 @@ from netinfluence import (
     check_profile,
     consensus_utility,
     diffusion_centrality_matrix,
-    eigenvector_weights,
     evolve,
     exact_best_response,
     greedy_best_response,
@@ -489,7 +488,6 @@ def test_every_count_rejects_non_integers(bad, shown):
         ("t_steps", lambda: evolve(state, gamma, bad)),
         ("t_steps", lambda: diffusion_centrality_matrix(gamma, bad)),
         ("max_rounds", lambda: best_response_dynamics(cfg, [[0], [1]], max_rounds=bad)),
-        ("max_iter", lambda: eigenvector_weights(gamma, max_iter=bad)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError) as exc_info:
@@ -507,7 +505,6 @@ def test_every_count_takes_numpy_integers_as_ints():
     assert evolve(state, gamma, np.int16(2)).t == 2
     assert np.array_equal(diffusion_centrality_matrix(gamma, np.int64(2)), diffusion_centrality_matrix(gamma, 2))
     assert best_response_dynamics(cfg, [[0], [1]], max_rounds=np.int64(1)).rounds == 1
-    assert eigenvector_weights(gamma, max_iter=np.int64(500)).iterations <= 500
 
 
 @pytest.mark.parametrize(
