@@ -161,6 +161,8 @@ def _resolve_regime(args, report: Report) -> tuple[str, int]:
     regime = "consensus" if args.consensus else "horizon"
     if regime == "horizon" and args.horizon is None:
         raise ValueError("pass --horizon for finite-horizon payoffs or --consensus")
+    if regime == "consensus" and args.horizon is not None:
+        raise ValueError("pass --horizon or --consensus, not both: consensus payoffs have no horizon")
     report.param("regime", regime)
     if regime == "horizon":
         report.param("horizon", args.horizon)

@@ -11,7 +11,8 @@ step by step, the horizon table ``diffusion_centrality_matrix`` is its
 opinion converges toward.
 
 Operators are dense numpy arrays up to ``SPARSE_NODE_THRESHOLD`` nodes and
-``scipy.sparse`` matrices above it.  scipy is imported only when a graph
+compressed sparse column (CSC) ``scipy.sparse`` matrices above it, like the
+tables built from them.  scipy is imported only when a graph
 above the threshold builds its operator, so small-graph runs never load it.
 Only this module tells the formats apart (``_columns``, ``_entries``, ``_held_entries``, ``_table_bytes``).
 """
@@ -34,7 +35,8 @@ DEFAULT_EIGEN_MAX_ITER = 1_000_000
 
 
 class PowerIterationError(RuntimeError):
-    """No stationary weights: power iteration ran out of rounds, or the result failed its fixed-point check."""
+    """No stationary weights: power iteration ran out of rounds, a weight underflowed to zero
+    (true weights below the float range), or the result failed its fixed-point check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +47,13 @@ class InfluenceMatrix:
     holds ``alpha * w(u, v)`` plus the retention term on the diagonal.  Rows
     sum to one; the diagonal is at least ``1 - alpha``, which keeps the
     long-run behavior aperiodic.  ``entries`` is a dense array for graphs of
-    at most ``SPARSE_NODE_THRESHOLD`` nodes and a compressed sparse row
-    matrix above that.
+    at most ``SPARSE_NODE_THRESHOLD`` nodes and a compressed sparse column
+    (CSC) matrix above that, the format of the horizon tables built from it.
     """
 
     n: int
     alpha: float
-    entries: np.ndarray | _sparse.csr_matrix
+    entries: np.ndarray | _sparse.csc_matrix
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.entries.sum(axis=1)).ravel()
@@ -88,7 +90,7 @@ def influence_matrix(g: Graph, alpha: float) -> InfluenceMatrix:
         diagonal = np.arange(n)
         data = np.concatenate((alpha * g.weight, np.full(n, 1.0 - alpha)))
         coords = (np.concatenate((g.dst, diagonal)), np.concatenate((g.src, diagonal)))
-        entries = _scipy_sparse().coo_matrix((data, coords), shape=(n, n)).tocsr()
+        entries = _scipy_sparse().coo_matrix((data, coords), shape=(n, n)).tocsc()
     else:
         # Validated edges have no repeats and no self-loops, so no entry is written twice.
         entries = np.zeros((n, n))
@@ -172,13 +174,6 @@ def _scipy_sparse():
     return sparse
 
 
-def _identity(gamma: InfluenceMatrix) -> np.ndarray | _sparse.csc_matrix:
-    """The identity: dense for a dense operator, else compressed sparse column."""
-    if isinstance(gamma.entries, np.ndarray):
-        return np.eye(gamma.n)
-    return _scipy_sparse().identity(gamma.n, format="csc")
-
-
 def diffusion_centrality_matrix(
     gamma: InfluenceMatrix, t_steps: int, _start=None
 ) -> np.ndarray | _sparse.csc_matrix:
@@ -191,24 +186,24 @@ def diffusion_centrality_matrix(
     ``t_steps`` products from ``_start``, a table this function built from the
     same operator at a lower horizon, which is never changed and gives the
     entries a build from scratch would.  A dense operator gives a dense table.
-    A sparse operator is multiplied in compressed sparse column form, so the
-    table is compressed sparse column, unless the power fills in: once more
-    than a quarter of its entries are nonzero (the copy's included) it turns
-    dense and the remaining products are dense.  Either way the entries equal
-    those of the dense products within rounding.
+    A sparse operator is compressed sparse column, and so is the product of
+    two such matrices, so the table is too, unless the power fills in: once
+    more than a quarter of its entries are nonzero (the copy's included) it
+    turns dense and the remaining products are dense.  Either way the entries
+    equal those of the dense products within rounding.
     """
     t_steps = _integer(t_steps, "non-integer t_steps")
     if t_steps < 0:
         raise ValueError("t_steps must be non-negative")
     n, op = gamma.n, gamma.entries
-    if not isinstance(op, np.ndarray):
-        op = op.tocsc()  # a product of two compressed sparse column matrices is one too
     table = _start
     for _ in range(t_steps):
         table = op.copy() if table is None else op @ table
         if not isinstance(table, np.ndarray) and 4 * table.nnz > n * n:
             table = table.toarray()
-    return _identity(gamma) if table is None else table
+    if table is None:
+        return np.eye(n) if isinstance(op, np.ndarray) else _scipy_sparse().identity(n, format="csc")
+    return table
 
 
 def _columns(table, nodes: np.ndarray) -> np.ndarray:
@@ -289,8 +284,10 @@ def eigenvector_weights(gamma: InfluenceMatrix) -> ConsensusWeights:
     weights must be positive and meet ``c = c @ entries`` within ten times it.
 
     Raises:
-        PowerIterationError: after ``DEFAULT_EIGEN_MAX_ITER`` rounds, or when
-            the result fails the check; never silently returns a bad vector.
+        PowerIterationError: after ``DEFAULT_EIGEN_MAX_ITER`` rounds, at the
+            first round that leaves a weight at zero (underflow: the walk keeps
+            half of every weight), or when the result fails the check; never
+            silently returns a bad vector.
     """
     entries, n, tol = gamma.entries, gamma.n, DEFAULT_EIGEN_TOL
     if isinstance(entries, np.ndarray):
@@ -301,15 +298,17 @@ def eigenvector_weights(gamma: InfluenceMatrix) -> ConsensusWeights:
         target[-1] = 1.0
         c, iterations = np.linalg.solve(system, target), 0
     if not (isinstance(entries, np.ndarray) and np.all(c > 0)):
-        identity = _identity(gamma)  # the sparse lazy walk is then CSC, and its transpose CSR: faster products
-        walk = (entries - (1.0 - gamma.alpha) * identity) / gamma.alpha
-        transposed = ((identity + walk) / 2).T
+        walk = entries / (2 * gamma.alpha)  # the lazy walk (I + W) / 2: W is entries / alpha off the diagonal
+        walk[np.arange(n), np.arange(n)] = 0.5  # and zero on it
+        transposed = walk.T
         c = np.full(n, 1.0 / n)
         floor = np.nan  # the smallest step so far; none yet, so the first round has no rate and no estimate
         settled = 0  # rounds in a row that passed the stopping test
         for iterations in range(1, DEFAULT_EIGEN_MAX_ITER + 1):
             nxt = transposed @ c
             nxt /= nxt.sum()
+            if not nxt.all():
+                raise PowerIterationError(f"weights underflow to zero at round {iterations}")
             step = np.max(np.abs(nxt - c) / nxt)
             rate, floor, c = step / floor, min(step, floor), nxt  # min skips the first round's nan
             # Steps shrinking at rate r < 1 leave about step * r / (1 - r) to go;

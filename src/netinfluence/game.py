@@ -314,8 +314,8 @@ def _opponent_terms(table: np.ndarray, others, epsilon: float):
 _PRODUCT_NODES_PER_SEED = 16
 
 
-def _score(table: np.ndarray, terms, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill and return ``out``, the ``K x C`` payoffs of the ``C x b`` candidate node ids
+def _score(table: np.ndarray, terms, nodes: np.ndarray) -> np.ndarray:
+    """The ``K x C`` payoffs of the ``C x b`` candidate node ids
     ``nodes`` (distinct within a candidate) against the ``K`` opponent configurations in
     ``terms``, by chunks of candidates and configurations whose temporaries stay near
     ``_CHUNK_BYTES``; see ``_response_terms``.
@@ -330,6 +330,7 @@ def _score(table: np.ndarray, terms, nodes: np.ndarray, out: np.ndarray) -> np.n
     own_base, total_base, own_gain, total_gain = terms
     height, width = table.shape
     count, size = nodes.shape
+    out = np.empty((len(own_base), count))
     if len(out) == 1 and width <= _PRODUCT_NODES_PER_SEED * size:
         columns = dynamics._columns(table, np.arange(width))
         own_scaled, total_scaled = columns * own_gain[0][:, None], columns * total_gain[0][:, None]

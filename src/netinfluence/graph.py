@@ -317,22 +317,17 @@ def _reached_from_zero(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarr
     return np.frombuffer(reached, dtype=bool)
 
 
-def validate(g: Graph, tol: float = STOCHASTIC_TOL) -> ValidationReport:
+def validate(g: Graph) -> ValidationReport:
     """Check unit incoming weight per node and strong connectivity.
 
-    Incoming weights are summed per node in edge order.  A node breaks strong
+    Incoming weights are summed per node in edge order, and each sum may
+    miss one by at most ``STOCHASTIC_TOL``.  A node breaks strong
     connectivity when it is unreachable from node 0 or cannot reach it; each
     search costs at most a node-by-node walk plus O(n / 64) array rounds.
-
-    Args:
-        g: the graph under test.
-        tol: allowed absolute deviation of each incoming weight sum from one;
-            positive and finite (``_tolerance``), else a ValueError.
     """
-    tol = _tolerance(tol)
     n, src, dst = g.node_count, g.src, g.dst
     gaps = np.abs(np.bincount(dst, weights=g.weight, minlength=n) - 1.0)
-    bad = np.flatnonzero(gaps > tol)
+    bad = np.flatnonzero(gaps > STOCHASTIC_TOL)
     cut_off = np.flatnonzero(~(_reached_from_zero(n, src, dst) & _reached_from_zero(n, dst, src)))
     defects = dict(zip(bad.tolist(), gaps[bad].tolist()))
     defects |= dict.fromkeys(cut_off.tolist(), math.inf)

@@ -121,7 +121,7 @@ def _scan_best(table, i, others, epsilon, blocks):
     ids, earliest winning ties (``_lead``); the payoff is the winner's ``table_payoffs`` value."""
     terms, best_pay, best, total = _opponent_terms(table, others, epsilon), -math.inf, None, 0
     for nodes in blocks:
-        pays = _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
+        pays = _score(table, terms, nodes)[0]
         k, best_pay = _lead(pays, best_pay)
         best, total = best if k is None else tuple(nodes[k].tolist()), total + len(pays)
     return table_payoffs(table, assemble_profile(i, best, others), epsilon)[i], best, total
@@ -169,7 +169,6 @@ def exact_best_response(
     i: int,
     s_minus_i,
     regime: str = "horizon",
-    cap: int = EXACT_ENUMERATION_CAP,
 ) -> BestResponse:
     """Exact best response for player ``i`` against fixed opponents.
 
@@ -185,19 +184,19 @@ def exact_best_response(
         s_minus_i: the other players' seed sets in player order, ``i`` skipped.
         regime: ``"horizon"`` for finite-horizon payoffs, ``"consensus"`` for
             the stationary regime.
-        cap: in the horizon regime, refuse to enumerate more candidate sets than this.
 
     Raises:
-        EnumerationCapError: in the horizon regime, when ``comb(n, budget)`` exceeds ``cap``.
+        EnumerationCapError: in the horizon regime, when ``comb(n, budget)`` exceeds
+            ``EXACT_ENUMERATION_CAP``.
     """
     others = check_opponents(cfg, i, s_minus_i)
     b = min(cfg.budgets[i], cfg.n)
     if regime == "consensus":
         found = _consensus_best(payoff_table(cfg, regime), i, others, cfg.epsilon, b)
-    elif math.comb(cfg.n, b) > cap:
+    elif math.comb(cfg.n, b) > EXACT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"player {i} has {math.comb(cfg.n, b)} candidate seed sets, over the cap of {cap}; "
-            "use greedy_best_response or raise the cap"
+            f"player {i} has {math.comb(cfg.n, b)} candidate seed sets, over the cap of "
+            f"{EXACT_ENUMERATION_CAP} (EXACT_ENUMERATION_CAP); use greedy_best_response"
         )
     else:
         found = _scan_best(payoff_table(cfg, regime), i, others, cfg.epsilon, _combinations(cfg.n, b))
@@ -295,7 +294,6 @@ def best_response_dynamics(
 def exhaustive_nash_check(
     cfg: GameConfig,
     regime: str = "horizon",
-    cap: int = PROFILE_ENUMERATION_CAP,
 ) -> list[StrategyProfile]:
     """Enumerate every full-budget profile and return all pure equilibria.
 
@@ -310,14 +308,14 @@ def exhaustive_nash_check(
     near the mask, a byte per profile, plus a few ``game._CHUNK_BYTES``.
 
     Raises:
-        EnumerationCapError: when the profile count exceeds ``cap``.
+        EnumerationCapError: when the profile count exceeds ``PROFILE_ENUMERATION_CAP``.
     """
     sizes = [min(b, cfg.n) for b in cfg.budgets]
     shape = tuple(math.comb(cfg.n, b) for b in sizes)
     total = math.prod(shape)
-    if total > cap:
+    if total > PROFILE_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{total} profiles exceed the cap of {cap}; shrink the instance or raise the cap"
+            f"{total} profiles exceed the cap of {PROFILE_ENUMERATION_CAP} (PROFILE_ENUMERATION_CAP)"
         )
     options = [np.concatenate(list(_combinations(cfg.n, b))) for b in sizes]
     table = payoff_table(cfg, regime)
@@ -331,7 +329,7 @@ def exhaustive_nash_check(
             combos = np.unravel_index(live[start : start + step], view.shape[:-1])
             counts = _seed_counts(cfg.n, [options[k][x] for k, x in zip(rest, combos)])
             terms = _response_terms(table, counts, cfg.m, cfg.epsilon)
-            pays = _score(table, terms, options[j], np.empty((len(counts), shape[j])))
+            pays = _score(table, terms, options[j])
             view[combos] &= pays >= pays.max(axis=1, keepdims=True) - IMPROVEMENT_TOL
 
     return [

@@ -1,4 +1,4 @@
-"""The public API's size, which module knows a table's format, and which states the seed-set rule."""
+"""The public API's size, which module knows a table's format, the one sparse format, and the seed-set rule."""
 
 import re
 from pathlib import Path
@@ -22,6 +22,21 @@ def test_only_dynamics_tells_table_formats_apart():
             continue
         for number, line in enumerate(module.read_text(encoding="utf-8").splitlines(), start=1):
             assert not re.search(r"isinstance\(.*ndarray|\.toarray\(|\.indptr|np\.nonzero\(", line), f"{module.name}:{number}"
+
+
+def test_sparse_matrices_take_one_format():
+    # The operator is assembled compressed sparse column once, and every table and
+    # the stationary walk are derived from it: no row format, and no second conversion.
+    source = Path(netinfluence.__file__).parent
+    conversions = []
+    for module in sorted(source.glob("*.py")):
+        for number, line in enumerate(module.read_text(encoding="utf-8").splitlines(), start=1):
+            assert "csr" not in line.lower(), f"{module.name}:{number}"
+            if "tocsc(" in line:
+                conversions.append((module.name, line.strip()))
+    assert conversions == [
+        ("dynamics.py", "entries = _scipy_sparse().coo_matrix((data, coords), shape=(n, n)).tocsc()")
+    ]
 
 
 def test_only_graph_states_the_seed_set_rule():

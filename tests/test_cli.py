@@ -28,7 +28,7 @@ from netinfluence import (
     utility,
 )
 from netinfluence.cli import main
-from oracles import weighted_ring
+from oracles import drifting_path, weighted_ring
 
 TWO_CYCLE_TEXT = "nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n"
 ROOT = Path(__file__).resolve().parent.parent
@@ -326,6 +326,16 @@ def test_centrality_lines_match_per_element_rendering(capsys, tmp_path, monkeypa
     assert [line for line in out.splitlines() if line.startswith(("weight", "influence"))] == expected
 
 
+def test_centrality_eigen_stops_at_an_underflowed_weight(tmp_path):
+    # Underflowed weights end the run at once, with one error line and no numpy warnings.
+    gpath = tmp_path / "path.graph"
+    gpath.write_text(dump_graph(drifting_path(400, 0.99)))
+    done = run_capped_cli(["centrality", "--graph", str(gpath), "--eigen"])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: weights underflow to zero at round ")
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+
+
 def test_centrality_eigen_finishes_on_a_slow_ring(capsys, tmp_path):
     # Power iteration printed "error: no convergence after 1000000 iterations" here, after 14 s.
     text = dump_graph(weighted_ring(200, 2))
@@ -447,6 +457,26 @@ def test_best_response_requires_a_method(capsys, random_graph_file, tmp_path):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("horizon", ["7", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["best-response", "--player", "1", "--budget", "1", "--exact", "--opponents"],
+        ["nash", "--budgets", "1,1", "--dynamics", "--initial"],
+    ],
+    ids=["best-response", "nash"],
+)
+def test_consensus_with_a_horizon_is_a_one_line_error(capsys, random_graph_file, tmp_path, argv, horizon):
+    # Consensus payoffs read no horizon, so one given with them is an input error, whatever its value.
+    opp = tmp_path / "opp.txt"
+    opp.write_text("player 0 seeds 3\n")
+    code, out, err = run_cli(
+        capsys, argv + [str(opp), "--graph", random_graph_file, "--consensus", "--horizon", horizon]
+    )
+    assert code == 1 and out == ""
+    assert err == "error: pass --horizon or --consensus, not both: consensus payoffs have no horizon\n"
 
 
 def test_best_response_requires_horizon_or_consensus(capsys, random_graph_file, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_operator_entries_are_bit_identical_to_assembly(n, degree, seed, alpha):
     assert dense.tobytes() == expected.tobytes()
     with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", 1):
         sparse = influence_matrix(g, alpha).entries
-    assert sp.issparse(sparse) and sparse.format == "csr"
+    assert sp.issparse(sparse) and sparse.format == "csc"
     assert sparse.nnz == len(g.edges) + n
     assert sparse.toarray().tobytes() == expected.tobytes()
 
@@ -391,6 +392,31 @@ def test_dense_stationary_weights_build_one_operator_copy(traced_peak):
     n = 1500
     gamma = influence_matrix(random_graph(n, 4, seed=1), 0.5)
     assert traced_peak(eigenvector_weights, gamma) <= 1.1 * n * n * 8
+
+
+def test_fallback_walk_holds_one_array_beside_the_system(traced_peak):
+    # The path's weights fall below LU's error, so the solve falls back to power iteration:
+    # its system and the lazy walk are the only n x n arrays numpy allocates.
+    n = 400
+    gamma = influence_matrix(drifting_path(n, 0.75), 0.5)
+    assert traced_peak(eigenvector_weights, gamma) <= 2.1 * n * n * 8
+
+
+def test_underflowed_weight_stops_power_iteration():
+    # The true weights fall below the float range, so a weight reaches zero long before
+    # the round budget runs out; the loop must end there, with no numpy warning.
+    gamma = influence_matrix(drifting_path(400, 0.99), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PowerIterationError, match=r"^weights underflow to zero at round \d+$"):
+            eigenvector_weights(gamma)
+
+
+def test_weights_that_miss_the_residual_bound_are_rejected():
+    # The solve is exact to rounding, which no bound near 1e-299 accepts.
+    with mock.patch.object(dynamics, "DEFAULT_EIGEN_TOL", 1e-300):
+        with pytest.raises(PowerIterationError, match=r"^weights fail the check \(residual "):
+            eigenvector_weights(influence_matrix(random_graph(12, 3, seed=5), 0.5))
 
 
 def test_power_iteration_budget_is_enforced():

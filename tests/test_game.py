@@ -359,14 +359,14 @@ def test_table_cache_counts_the_graphs_its_keys_keep_alive():
     assert table.lookup(newest) is not None and table.lookup(random_graph(47, 3, seed=47)) is None
 
 
-@pytest.mark.parametrize("threshold", [dynamics.SPARSE_NODE_THRESHOLD, 1], ids=["dense", "csr"])
+@pytest.mark.parametrize("threshold", [dynamics.SPARSE_NODE_THRESHOLD, 1], ids=["dense", "csc"])
 def test_cached_operator_counts_the_bytes_of_its_entries(threshold):
     g = random_graph(30, 3, seed=1)
     with mock.patch.object(dynamics, "SPARSE_NODE_THRESHOLD", threshold):
         gamma = influence_matrix(g, 0.5)
     if threshold == 1:
-        # 30 diagonal and 90 edge entries: float64 values, int32 column indices, 31 row pointers.
-        assert gamma.entries.format == "csr" and gamma.entries.nnz == 120
+        # 30 diagonal and 90 edge entries: float64 values, int32 row indices, 31 column pointers.
+        assert gamma.entries.format == "csc" and gamma.entries.nnz == 120
         assert _table_bytes(gamma) == 120 * 8 + 120 * 4 + 31 * 4
     else:
         assert _table_bytes(gamma) == 30 * 30 * 8

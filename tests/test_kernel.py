@@ -95,7 +95,7 @@ def test_kernel_matches_table_payoffs(game):
             candidates = list(itertools.combinations(range(cfg.n), size))
             nodes = np.array(candidates, dtype=np.intp)
             with product(ratio):
-                pays = _score(table, terms, nodes, np.empty((1, len(nodes))))[0]
+                pays = _score(table, terms, nodes)[0]
             for cand, pay in zip(candidates, pays):
                 ref = table_payoffs(table, assemble_profile(i, cand, others), cfg.epsilon)[i]
                 assert abs(pay - ref) <= 1e-12, (regime, ratio, cand)

@@ -80,13 +80,14 @@ def test_exact_with_saturating_budget_shares_evenly():
     assert br.evaluations == 1
 
 
-def test_exact_evaluation_count_and_cap():
+def test_exact_evaluation_count_and_cap(monkeypatch):
     g = random_graph(10, 3, seed=43)
     cfg = GameConfig(graph=g, budgets=(3, 1), horizon=2)
     br = exact_best_response(cfg, 0, [{9}])
     assert br.evaluations == math.comb(10, 3)
-    with pytest.raises(EnumerationCapError, match="cap"):
-        exact_best_response(cfg, 0, [{9}], cap=10)
+    monkeypatch.setattr(solver, "EXACT_ENUMERATION_CAP", 10)
+    with pytest.raises(EnumerationCapError, match=r"over the cap of 10 \(EXACT_ENUMERATION_CAP\)"):
+        exact_best_response(cfg, 0, [{9}])
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1])  # None: the default; 1 byte: one row per block
@@ -385,9 +386,10 @@ def test_exhaustive_later_passes_score_only_live_combinations(monkeypatch):
     cfg = GameConfig(graph=build_counterexample(2, 2), budgets=(2, 2), horizon=2)
     scored = {}  # candidate array -> opponent combinations scored against it
 
-    def spy(table, terms, nodes, out):
+    def spy(table, terms, nodes):
+        out = game._score(table, terms, nodes)
         scored[id(nodes)] = scored.get(id(nodes), 0) + len(out)
-        return game._score(table, terms, nodes, out)
+        return out
 
     monkeypatch.setattr(solver, "_score", spy)
     assert exhaustive_nash_check(cfg) == []
@@ -411,11 +413,12 @@ def test_exhaustive_memory_stays_near_the_mask():
     assert peak < 2 * profiles + 7 * game._CHUNK_BYTES
 
 
-def test_exhaustive_cap_is_enforced():
+def test_exhaustive_cap_is_enforced(monkeypatch):
     g = random_graph(12, 3, seed=79)
     cfg = GameConfig(graph=g, budgets=(4, 4), horizon=1)
-    with pytest.raises(EnumerationCapError, match="cap"):
-        exhaustive_nash_check(cfg, cap=1000)
+    monkeypatch.setattr(solver, "PROFILE_ENUMERATION_CAP", 1000)
+    with pytest.raises(EnumerationCapError, match=r"exceed the cap of 1000 \(PROFILE_ENUMERATION_CAP\)"):
+        exhaustive_nash_check(cfg)
 
 
 # --- consensus-regime equilibrium construction -------------------------------

@@ -91,7 +91,7 @@ def test_candidate_payoffs_match_dense(monkeypatch, horizon, size):
     ], dtype=np.intp)
 
     def scored(table):
-        return _score(table, _opponent_terms(table, others, cfg.epsilon), nodes, np.empty((1, len(nodes))))
+        return _score(table, _opponent_terms(table, others, cfg.epsilon), nodes)
 
     for chunk_bytes in (game._CHUNK_BYTES, 1):  # 1 byte: one candidate per chunk
         monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
