@@ -27,7 +27,7 @@ from .dynamics import (
     influence_matrix,
     initialize,
 )
-from .game import GameConfig, StrategyProfile, _chunk_items, _mixing_matrix, _shares, check_profile
+from .game import GameConfig, StrategyProfile, _mixing_matrix, _shares, check_profile
 from .graph import (
     Graph,
     GraphFormatError,
@@ -39,6 +39,7 @@ from .graph import (
     random_graph,
 )
 from .solver import (
+    _chunk_items,
     best_response_dynamics,
     exact_best_response,
     exhaustive_nash_check,
@@ -212,6 +213,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_centrality(args) -> int:
     report = Report("centrality", args.structured)
+    if not args.eigen and args.horizon < 0:
+        raise ValueError("--horizon must be non-negative")
     g = _read_graph(args.graph, args.normalize)
     gamma = influence_matrix(g, args.alpha)
 
@@ -272,6 +275,10 @@ def cmd_best_response(args) -> int:
 
 def cmd_nash(args) -> int:
     report = Report("nash", args.structured)
+    given = {"--initial": args.initial is not None, "--max-rounds": args.max_rounds != 100, "--greedy": args.greedy}
+    stray = [flag for flag, on in given.items() if on and args.exhaustive]
+    if stray:
+        raise ValueError(f"{stray[0]} applies only to --dynamics, not --exhaustive")
     g = _read_graph(args.graph, args.normalize)
 
     report.param("graph", args.graph)
@@ -311,12 +318,10 @@ def cmd_nash(args) -> int:
 
 def _default_profile(cfg: GameConfig) -> StrategyProfile:
     """Deterministic starting profile: consecutive id blocks, wrapping modulo n."""
-    sets = []
-    offset = 0
+    sets, offset = [], 0
     for b in cfg.budgets:
-        take = min(b, cfg.n)
-        sets.append([(offset + k) % cfg.n for k in range(take)])
-        offset += take
+        sets.append([(offset + k) % cfg.n for k in range(min(b, cfg.n))])
+        offset += min(b, cfg.n)
     return StrategyProfile(sets)
 
 

@@ -256,7 +256,9 @@ class ConsensusWeights:
     """Stationary influence shares: the left fixed point of the mixing operator.
 
     Strictly positive and summing to one; every opinion converges to its
-    weighted average of the initial opinions under these weights.
+    weighted average of the initial opinions under these weights.  A dense
+    solve is accurate to about 1e-17 in absolute terms, so a weight below that
+    can be relatively wrong; payoffs still meet the 1e-10 contract.
     ``iterations`` counts power-iteration rounds (0 when a dense solve served) and
     ``residual`` is ``max |weights @ entries - weights|`` (see ``eigenvector_weights``).
     """
@@ -271,17 +273,21 @@ def eigenvector_weights(gamma: InfluenceMatrix) -> ConsensusWeights:
 
     A dense operator solves ``(entries.T - I) c = 0``, its last equation
     replaced by ``sum(c) = 1``, once by LU: O(n^3) however slowly the graph
-    mixes.  A sparse operator, or a solve that leaves a weight non-positive
-    (weights below LU's absolute error, as on graphs that drift toward one
-    end), runs power iteration on the lazy walk ``(I + W) / 2``, which keeps
-    weights positive and shares the fixed point of ``(1 - alpha) I + alpha W``
-    at a rate free of ``alpha``.  From the uniform vector, renormalized each
-    round, it stops when, on three rounds running, the step (a round's largest
-    change relative to its weight: payoffs move with the relative error of
-    weights near ``1 / n``) is below ``DEFAULT_EIGEN_TOL`` and so is the
-    estimated distance to go, ``step * rate / (1 - rate)``, or ``rate``, the
-    step over the smallest before it, is at least one (rounding noise).  The
-    weights must be positive and meet ``c = c @ entries`` within ten times it.
+    mixes, and accurate to about 1e-17 in absolute terms.  So a weight below
+    that can be relatively wrong (``drifting_path(30, 0.99)`` of
+    ``tests/oracles.py`` gets 1.4e-18 against a true 6.6e-57), while payoffs
+    still meet the 1e-10 contract.  A sparse operator, or a solve that leaves
+    a weight non-positive (weights below LU's absolute error, as on graphs
+    that drift toward one end), runs power iteration on the lazy walk
+    ``(I + W) / 2``, which keeps weights positive and shares the fixed point
+    of ``(1 - alpha) I + alpha W`` at a rate free of ``alpha``.  From the
+    uniform vector, renormalized each round, it stops when, on three rounds
+    running, the step (a round's largest change relative to its weight:
+    payoffs move with the relative error of weights near ``1 / n``) is below
+    ``DEFAULT_EIGEN_TOL`` and so is the estimated distance to go,
+    ``step * rate / (1 - rate)``, or ``rate``, the step over the smallest
+    before it, is at least one (rounding noise).  The weights must be
+    positive and meet ``c = c @ entries`` within ten times it.
 
     Raises:
         PowerIterationError: after ``DEFAULT_EIGEN_MAX_ITER`` rounds, at the

@@ -7,7 +7,8 @@ ways that agree to numerical precision: direct simulation, a closed form over
 the horizon influence table, and the stationary-regime shortcut via the
 consensus weights.  All three apply an influence operator to the same initial
 opinion matrix and read the same relative shares off the result.  The game is
-constant-sum: payoffs always total one.
+constant-sum: payoffs always total one.  Searches over it, and the batched
+kernel that scores their candidate seed sets, are in ``solver``.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ class GameConfig:
             raise ValueError("horizon must be at least one")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not 0 < self.epsilon < 1.0 / (2 * len(self.budgets)):
-            raise ValueError(
-                f"epsilon must lie in (0, 1/(2m)) = (0, {1.0 / (2 * len(self.budgets))})"
-            )
+        if not 0 < self.epsilon < 1.0 / (2 * self.m):
+            raise ValueError(f"epsilon must lie in (0, 1/(2m)) = (0, {1.0 / (2 * self.m)})")
 
     @property
     def m(self) -> int:
@@ -75,54 +74,42 @@ class GameConfig:
         return self.graph.node_count
 
 
-class StrategyProfile:
-    """Per-player seed sets.
+class StrategyProfile(tuple):
+    """Per-player seed sets: a tuple of frozensets.
 
     Accepts any iterable of per-player node iterables; a player listing the
     same node twice is an input error rather than a double weight
-    (``graph.seed_set``).  Profiles compare and hash by their canonical form,
-    so they can key caches and cycle-detection tables.
+    (``graph.seed_set``).  Profiles compare and hash as their tuple, so they
+    can key caches and cycle-detection tables.
     """
 
-    __slots__ = ("strategies",)
+    __slots__ = ()
 
-    def __init__(self, seed_sets: Iterable[Iterable[int]]):
-        self.strategies: tuple[frozenset[int], ...] = tuple(seed_set(i, s) for i, s in enumerate(seed_sets))
+    def __new__(cls, seed_sets: Iterable[Iterable[int]]):
+        return super().__new__(cls, (seed_set(i, s) for i, s in enumerate(seed_sets)))
 
-    def __len__(self) -> int:
-        return len(self.strategies)
-
-    def __iter__(self):
-        return iter(self.strategies)
-
-    def __getitem__(self, i: int) -> frozenset[int]:
-        return self.strategies[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StrategyProfile) and self.strategies == other.strategies
-
-    def __hash__(self) -> int:
-        return hash(self.strategies)
+    @property
+    def strategies(self) -> tuple[frozenset[int], ...]:
+        """The seed sets as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"StrategyProfile({[sorted(s) for s in self.strategies]})"
+        return f"StrategyProfile({[sorted(s) for s in self]})"
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Hashable canonical form: per-player sorted node tuples."""
-        return tuple(tuple(sorted(s)) for s in self.strategies)
+        return tuple(tuple(sorted(s)) for s in self)
 
     def replace(self, i: int, strategy: Iterable[int]) -> "StrategyProfile":
         """Copy of the profile with player ``i``'s seed set swapped out, checked as the constructor checks."""
-        sets = list(self.strategies)
+        sets = list(self)
         sets[i] = strategy
         return StrategyProfile(sets)
 
 
 def as_profile(profile) -> StrategyProfile:
     """Coerce raw per-player seed collections into a StrategyProfile."""
-    if isinstance(profile, StrategyProfile):
-        return profile
-    return StrategyProfile(profile)
+    return profile if isinstance(profile, StrategyProfile) else StrategyProfile(profile)
 
 
 def check_seed_set(cfg: GameConfig, i: int, s) -> frozenset[int]:
@@ -269,99 +256,6 @@ def table_payoffs(table: np.ndarray, seed_sets, epsilon: float) -> np.ndarray:
     return _shares(table @ seeded_opinions(table.shape[1], seed_sets, epsilon))
 
 
-# Bytes of table columns gathered per kernel chunk: large enough to amortize
-# numpy's per-call overhead, small enough to stay in cache and keep peak memory flat.
-_CHUNK_BYTES = 1 << 18
-
-
-def _chunk_items(floats: int) -> int:
-    """How many items of ``floats`` float64 values fill about ``_CHUNK_BYTES``; at least one."""
-    return max(1, _CHUNK_BYTES // (8 * floats))
-
-
-def _response_terms(table: np.ndarray, counts: np.ndarray, m: int, epsilon: float):
-    """``K x rows`` bases ``own_base, total_base`` and ``K x n`` gains ``own_gain, total_gain``
-    for the ``K x n`` opponent seed counts ``counts`` of ``m``-player games.
-
-    A candidate's payoff depends on the opponents only through each node's seed
-    count ``c_v``.  With ``Z`` and ``P`` the table's row sums over the unseeded
-    and the opponent-seeded columns, candidate ``A``'s strength at row ``r`` is
-    ``eps Z + sum_{v in A} T[r, v] (1 / (c_v + 1) - eps [c_v = 0])``, the row's
-    total opinion is ``P + m eps Z + sum_{v in A} T[r, v] [c_v = 0] (1 - m eps)``,
-    and the payoff, the mean over rows of strength over total, is the
-    candidate's ``table_payoffs`` entry within rounding.
-    """
-    free = (counts == 0).astype(float)
-    z, p = (table @ free.T).T, (table @ (1.0 - free).T).T
-    own_gain, total_gain = 1.0 / (counts + 1.0) - epsilon * free, free * (1.0 - m * epsilon)
-    return epsilon * z, p + m * epsilon * z, own_gain, total_gain
-
-
-def _seed_counts(n: int, picks) -> np.ndarray:
-    """``K x n`` seed counts of ``K`` opponent configurations from one ``K x b`` node-id array per opponent."""
-    cells = np.concatenate([(np.arange(len(p))[:, None] * n + p).ravel() for p in picks])
-    return np.bincount(cells, minlength=len(picks[0]) * n).reshape(-1, n)
-
-
-def _opponent_terms(table: np.ndarray, others, epsilon: float):
-    """``_response_terms`` of the one opponent configuration ``others``: seed sets in player order."""
-    counts = _seed_counts(table.shape[1], [np.fromiter(s, np.intp)[None] for s in others])
-    return _response_terms(table, counts, len(others) + 1, epsilon)
-
-
-# One opponent configuration on a table of at most this many columns per seed is scored by
-# matrix products (``_score``): measured faster up to 16, mixed from 21, slower at 32 (README).
-_PRODUCT_NODES_PER_SEED = 16
-
-
-def _score(table: np.ndarray, terms, nodes: np.ndarray) -> np.ndarray:
-    """The ``K x C`` payoffs of the ``C x b`` candidate node ids
-    ``nodes`` (distinct within a candidate) against the ``K`` opponent configurations in
-    ``terms``, by chunks of candidates and configurations whose temporaries stay near
-    ``_CHUNK_BYTES``; see ``_response_terms``.
-
-    With one configuration and ``n <= _PRODUCT_NODES_PER_SEED * b`` table columns, the
-    columns are scaled once by ``own_gain`` and by ``total_gain``, and each chunk is
-    two products ``pick @ scaled``, ``pick`` its 0/1 candidate-by-node matrix: more
-    flops than gathering ``b`` columns per candidate, but one BLAS call each in
-    place of a small product per candidate, which wins on small tables.  Elsewhere each
-    candidate's gains multiply its own ``b`` gathered columns.
-    """
-    own_base, total_base, own_gain, total_gain = terms
-    height, width = table.shape
-    count, size = nodes.shape
-    out = np.empty((len(own_base), count))
-    if len(out) == 1 and width <= _PRODUCT_NODES_PER_SEED * size:
-        columns = dynamics._columns(table, np.arange(width))
-        own_scaled, total_scaled = columns * own_gain[0][:, None], columns * total_gain[0][:, None]
-        step = _chunk_items(width + 2 * height)  # pick and the two products
-        for start in range(0, count, step):
-            chunk = nodes[start : start + step]
-            pick = np.zeros((len(chunk), width))
-            pick[np.arange(len(chunk))[:, None], chunk] = 1.0
-            own = pick @ own_scaled
-            own += own_base[0]
-            total = pick @ total_scaled
-            total += total_base[0]
-            own /= total
-            out[0, start : start + len(chunk)] = own.mean(axis=1)
-        return out
-    step = _chunk_items(size * height)
-    for start in range(0, count, step):
-        chunk = nodes[start : start + step]
-        block = dynamics._columns(table, chunk)
-        span = _chunk_items(len(chunk) * height)
-        for first in range(0, len(out), span):
-            k = slice(first, first + span)
-            own = own_gain[k].T[chunk].transpose(0, 2, 1) @ block  # c x k x rows
-            own += own_base[k]
-            total = total_gain[k].T[chunk].transpose(0, 2, 1) @ block
-            total += total_base[k]
-            own /= total
-            out[k, start : start + len(chunk)] = own.mean(axis=2).T
-    return out
-
-
 def utility(cfg: GameConfig, profile) -> np.ndarray:
     """Simulated payoffs: seed, mix for the horizon, read relative shares.
 
@@ -371,14 +265,14 @@ def utility(cfg: GameConfig, profile) -> np.ndarray:
     """
     profile = check_profile(cfg, profile)
     gamma = _mixing_matrix(cfg.graph, cfg.alpha)
-    state = OpinionState(0, seeded_opinions(cfg.n, profile.strategies, cfg.epsilon))
+    state = OpinionState(0, seeded_opinions(cfg.n, profile, cfg.epsilon))
     return _shares(evolve(state, gamma, cfg.horizon).opinions)
 
 
 def utility_closed_form(cfg: GameConfig, profile) -> np.ndarray:
     """Payoffs via the horizon influence table; agrees with ``utility`` to ~1e-10."""
     profile = check_profile(cfg, profile)
-    return table_payoffs(payoff_table(cfg, "horizon"), profile.strategies, cfg.epsilon)
+    return table_payoffs(payoff_table(cfg, "horizon"), profile, cfg.epsilon)
 
 
 def consensus_utility(cfg: GameConfig, profile) -> np.ndarray:
@@ -388,7 +282,7 @@ def consensus_utility(cfg: GameConfig, profile) -> np.ndarray:
     every long simulation approaches.
     """
     profile = check_profile(cfg, profile)
-    return table_payoffs(payoff_table(cfg, "consensus"), profile.strategies, cfg.epsilon)
+    return table_payoffs(payoff_table(cfg, "consensus"), profile, cfg.epsilon)
 
 
 def assemble_profile(i: int, own, others) -> tuple[frozenset[int], ...]:

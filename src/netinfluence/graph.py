@@ -69,6 +69,16 @@ def _id_array(ids, node_count: int) -> np.ndarray:
         return np.fromiter(clipped, dtype=np.int64, count=len(ids))
 
 
+def _weight(u, v, w) -> float:
+    """Edge ``(u, v)``'s weight ``w`` as a float, if ``float`` takes it and it is not text; else a ValueError."""
+    try:
+        if not isinstance(w, (str, bytes, bytearray)):
+            return float(w)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"edge ({u}, {v}) has a non-numeric weight {w!r}")
+
+
 def seed_set(i: int, seeds) -> frozenset[int]:
     """Player ``i``'s seed ids as a frozenset; an id listed twice is a ValueError, not a double weight."""
     seeds = list(seeds)
@@ -194,7 +204,8 @@ class Graph:
     Stored as ``node_count`` and three read-only arrays in edge order:
     ``src`` and ``dst`` (int64) and ``weight`` (float64), and ``edges``, an
     ``EdgeView`` of the ``(source, target, weight)`` triples they hold.
-    The node count and ids are integers (what ``operator.index`` takes).
+    The node count and ids are integers (what ``operator.index`` takes), and
+    weights are numbers (what ``float`` takes, bar text).
     Duplicate edges, self-loops and weights that are not finite and positive
     are rejected: a node's retention of its own opinion is a dynamics
     parameter, not an edge.  Two graphs are equal when their node counts and
@@ -219,7 +230,7 @@ class Graph:
                 except TypeError:
                     raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node id") from None
             raise
-        weight = np.array(ws, dtype=float)
+        weight = np.fromiter(map(_weight, us, vs, ws), dtype=float, count=len(ws))
         _check_edges(node_count, src, dst, weight, lambda k: edges[k][:2])
         self._fill(node_count, src, dst, weight)
 

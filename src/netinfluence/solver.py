@@ -1,20 +1,15 @@
-"""Best responses, improvement dynamics, and equilibrium search.
+"""Best responses, improvement dynamics, equilibrium search, and the kernel that scores them.
 
 All comparisons between strategies treat payoff differences below
 ``IMPROVEMENT_TOL`` as ties, so solver outputs are reproducible bit-for-bit:
 enumeration orders are fixed, ties break toward lexicographically smallest
 seed sets (lowest node id for the greedy scan).
 
-One batched kernel, ``game._score``, rates arrays of candidate node ids
-against a stack of opponent configurations, chunk by chunk: ``_scan_best``
-feeds it the exact scan's blocks of combinations (``_combinations``), and
+One batched kernel, ``_score``, rates arrays of candidate node ids against a
+stack of opponent configurations, chunk by chunk: ``_scan_best`` feeds it the
+exact scan's blocks of combinations (``_combinations``), and
 ``exhaustive_nash_check`` makes one pass per player, against only the
-opponent combinations the earlier passes left stable.  Against one
-configuration on a table of at most ``game._PRODUCT_NODES_PER_SEED`` nodes per
-seed, the exact scan's case on small games, each chunk is two matrix products
-of a 0/1 candidate-by-node matrix with the table's columns scaled by the
-opponents' gains; against the per-candidate products it won up to 16 nodes
-per seed, was mixed from 21 and lost at 32.  Consensus exact best
+opponent combinations the earlier passes left stable.  Consensus exact best
 responses sort node scores built from the same terms (``_consensus_best``);
 greedy scores free nodes from the table's nonzero entries (``dynamics._entries``).
 A best response's reported payoff is its winner's ``table_payoffs`` value.
@@ -28,14 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, game
+from . import dynamics
 from .game import (
     GameConfig,
     StrategyProfile,
-    _opponent_terms,
-    _response_terms,
-    _score,
-    _seed_counts,
     assemble_profile,
     check_opponents,
     check_profile,
@@ -47,6 +38,11 @@ from .graph import _integer
 IMPROVEMENT_TOL = 1e-12
 EXACT_ENUMERATION_CAP = 5_000_000
 PROFILE_ENUMERATION_CAP = 10_000_000
+# Bytes of table columns gathered per kernel chunk: large enough to amortize
+# numpy's per-call overhead, small enough to stay in cache and keep peak memory flat.
+_CHUNK_BYTES = 1 << 18
+# Table columns per seed up to which one opponent configuration is scored by matrix products (``_score``).
+_PRODUCT_NODES_PER_SEED = 16
 
 
 class EnumerationCapError(RuntimeError):
@@ -92,13 +88,97 @@ class NashOutcome:
     rounds: int = 0
 
 
+def _chunk_items(floats: int) -> int:
+    """How many items of ``floats`` float64 values fill about ``_CHUNK_BYTES``; at least one."""
+    return max(1, _CHUNK_BYTES // (8 * floats))
+
+
+def _response_terms(table: np.ndarray, counts: np.ndarray, m: int, epsilon: float):
+    """``K x rows`` bases ``own_base, total_base`` and ``K x n`` gains ``own_gain, total_gain``
+    for the ``K x n`` opponent seed counts ``counts`` of ``m``-player games.
+
+    A candidate's payoff depends on the opponents only through each node's seed
+    count ``c_v``.  With ``Z`` and ``P`` the table's row sums over the unseeded
+    and the opponent-seeded columns, candidate ``A``'s strength at row ``r`` is
+    ``eps Z + sum_{v in A} T[r, v] (1 / (c_v + 1) - eps [c_v = 0])``, the row's
+    total opinion is ``P + m eps Z + sum_{v in A} T[r, v] [c_v = 0] (1 - m eps)``,
+    and the payoff, the mean over rows of strength over total, is the
+    candidate's ``table_payoffs`` entry within rounding.
+    """
+    free = (counts == 0).astype(float)
+    z, p = (table @ free.T).T, (table @ (1.0 - free).T).T
+    own_gain, total_gain = 1.0 / (counts + 1.0) - epsilon * free, free * (1.0 - m * epsilon)
+    return epsilon * z, p + m * epsilon * z, own_gain, total_gain
+
+
+def _seed_counts(n: int, picks) -> np.ndarray:
+    """``K x n`` seed counts of ``K`` opponent configurations from one ``K x b`` node-id array per opponent."""
+    cells = np.concatenate([(np.arange(len(p))[:, None] * n + p).ravel() for p in picks])
+    return np.bincount(cells, minlength=len(picks[0]) * n).reshape(-1, n)
+
+
+def _opponent_terms(table: np.ndarray, others, epsilon: float):
+    """``_response_terms`` of the one opponent configuration ``others``: seed sets in player order."""
+    counts = _seed_counts(table.shape[1], [np.fromiter(s, np.intp)[None] for s in others])
+    return _response_terms(table, counts, len(others) + 1, epsilon)
+
+
+def _score(table: np.ndarray, terms, nodes: np.ndarray) -> np.ndarray:
+    """The ``K x C`` payoffs of the ``C x b`` candidate node ids
+    ``nodes`` (distinct within a candidate) against the ``K`` opponent configurations in
+    ``terms``, by chunks of candidates and configurations whose temporaries stay near
+    ``_CHUNK_BYTES``; see ``_response_terms``.
+
+    With one configuration and ``n <= _PRODUCT_NODES_PER_SEED * b`` table columns, the
+    columns are scaled once by ``own_gain`` and by ``total_gain``, and each chunk is
+    two products ``pick @ scaled``, ``pick`` its 0/1 candidate-by-node matrix: more
+    flops than gathering ``b`` columns per candidate, but one BLAS call each in
+    place of a small product per candidate.  Against the per-candidate products it
+    won up to 16 nodes per seed, was mixed from 21 and lost at 32 (README), so
+    elsewhere each candidate's gains multiply its own ``b`` gathered columns.
+    """
+    own_base, total_base, own_gain, total_gain = terms
+    height, width = table.shape
+    count, size = nodes.shape
+    out = np.empty((len(own_base), count))
+    if len(out) == 1 and width <= _PRODUCT_NODES_PER_SEED * size:
+        columns = dynamics._columns(table, np.arange(width))
+        own_scaled, total_scaled = columns * own_gain[0][:, None], columns * total_gain[0][:, None]
+        step = _chunk_items(width + 2 * height)  # pick and the two products
+        for start in range(0, count, step):
+            chunk = nodes[start : start + step]
+            pick = np.zeros((len(chunk), width))
+            pick[np.arange(len(chunk))[:, None], chunk] = 1.0
+            own = pick @ own_scaled
+            own += own_base[0]
+            total = pick @ total_scaled
+            total += total_base[0]
+            own /= total
+            out[0, start : start + len(chunk)] = own.mean(axis=1)
+        return out
+    step = _chunk_items(size * height)
+    for start in range(0, count, step):
+        chunk = nodes[start : start + step]
+        block = dynamics._columns(table, chunk)
+        span = _chunk_items(len(chunk) * height)
+        for first in range(0, len(out), span):
+            k = slice(first, first + span)
+            own = own_gain[k].T[chunk].transpose(0, 2, 1) @ block  # c x k x rows
+            own += own_base[k]
+            total = total_gain[k].T[chunk].transpose(0, 2, 1) @ block
+            total += total_base[k]
+            own /= total
+            out[k, start : start + len(chunk)] = own.mean(axis=2).T
+    return out
+
+
 def _combinations(n: int, b: int):
-    """``itertools.combinations(range(n), b)`` as ``C x b`` node-id arrays of about ``game._CHUNK_BYTES``; rank
+    """``itertools.combinations(range(n), b)`` as ``C x b`` node-id arrays of about ``_CHUNK_BYTES``; rank
     ``r`` is nodes ``n - 1 - a_j`` for ``C(n, b) - 1 - r = sum_j C(a_j, b - j)``, each ``a_j`` greedily largest."""
     total, binomials = math.comb(n, b), [np.ones(n, dtype=np.int64)]  # [k][a] = min(C(a, k), total), exact in int64
     for _ in range(b):
         binomials.append(np.minimum(np.concatenate(([0], np.cumsum(binomials[-1])[:-1])), total))
-    for start in range(0, total, rows := game._chunk_items(b)):
+    for start in range(0, total, rows := _chunk_items(b)):
         rest, nodes = total - 1 - np.arange(start, min(start + rows, total)), []
         for column in binomials[:0:-1]:
             a = np.searchsorted(column, rest, "right") - 1
@@ -164,12 +244,7 @@ def _consensus_best(table, i, others, epsilon, b):
     return payoff, tuple(chosen), len(score)
 
 
-def exact_best_response(
-    cfg: GameConfig,
-    i: int,
-    s_minus_i,
-    regime: str = "horizon",
-) -> BestResponse:
+def exact_best_response(cfg: GameConfig, i: int, s_minus_i, regime: str = "horizon") -> BestResponse:
     """Exact best response for player ``i`` against fixed opponents.
 
     Payoffs are monotone in the seed set, so smaller sets never win strictly:
@@ -204,12 +279,7 @@ def exact_best_response(
     return BestResponse(frozenset(best), payoff, evaluations)
 
 
-def greedy_best_response(
-    cfg: GameConfig,
-    i: int,
-    s_minus_i,
-    regime: str = "horizon",
-) -> BestResponse:
+def greedy_best_response(cfg: GameConfig, i: int, s_minus_i, regime: str = "horizon") -> BestResponse:
     """Greedy best response: repeatedly add the node with the largest gain.
 
     Payoffs are monotone and submodular in a player's seed set, so the greedy
@@ -223,7 +293,7 @@ def greedy_best_response(
     table = payoff_table(cfg, regime)
     own, total, own_gain, total_gain = (x[0] for x in _opponent_terms(table, others, cfg.epsilon))
     free = np.ones(cfg.n, dtype=bool)
-    held = dynamics._held_entries(table, step := game._chunk_items(1))
+    held = dynamics._held_entries(table, step := _chunk_items(1))
     for _ in range(min(cfg.budgets[i], cfg.n)):
         ratio, gains = own / total, np.zeros(cfg.n)
         for cols, rows, vals in held or dynamics._entries(table, step):
@@ -264,7 +334,7 @@ def best_response_dynamics(
     table = payoff_table(cfg, regime)
     respond = exact_best_response if use_exact else greedy_best_response
 
-    strategies = list(profile.strategies)
+    strategies = list(profile)
     seen: set[tuple[frozenset[int], ...]] = set()
     answers: dict[tuple, BestResponse] = {}  # (player, opponents) -> its response, asked once a run
     trace: list[Move] = []
@@ -291,10 +361,7 @@ def best_response_dynamics(
     return NashOutcome(kind, StrategyProfile(strategies), tuple(trace), rounds)
 
 
-def exhaustive_nash_check(
-    cfg: GameConfig,
-    regime: str = "horizon",
-) -> list[StrategyProfile]:
+def exhaustive_nash_check(cfg: GameConfig, regime: str = "horizon") -> list[StrategyProfile]:
     """Enumerate every full-budget profile and return all pure equilibria.
 
     A profile passes when no player can gain more than ``IMPROVEMENT_TOL`` by
@@ -305,7 +372,7 @@ def exhaustive_nash_check(
     still stable at some option of that player, in blocks whose terms or
     payoffs fill about a kernel chunk, each cut at once to its best-response
     mask (every option within ``IMPROVEMENT_TOL`` of the best).  Memory peaks
-    near the mask, a byte per profile, plus a few ``game._CHUNK_BYTES``.
+    near the mask, a byte per profile, plus a few ``_CHUNK_BYTES``.
 
     Raises:
         EnumerationCapError: when the profile count exceeds ``PROFILE_ENUMERATION_CAP``.
@@ -324,7 +391,7 @@ def exhaustive_nash_check(
         rest = [k for k in range(cfg.m) if k != j]
         view = np.moveaxis(stable, j, -1)  # [combination of the others' options] -> j's options
         live = np.flatnonzero(view.any(axis=-1))  # the only ones that can change; first opponent slowest
-        step = game._chunk_items(max(cfg.n, shape[j]))  # combinations whose terms or payoffs fill a chunk
+        step = _chunk_items(max(cfg.n, shape[j]))  # combinations whose terms or payoffs fill a chunk
         for start in range(0, len(live), step):
             combos = np.unravel_index(live[start : start + step], view.shape[:-1])
             counts = _seed_counts(cfg.n, [options[k][x] for k, x in zip(rest, combos)])
@@ -380,5 +447,5 @@ def consensus_equilibrium(cfg: GameConfig) -> ConsensusEquilibrium:
             f"profile ended in {outcome.kind} after {len(outcome.trace)} moves, "
             "with players still deviating"
         )
-    payoffs = table_payoffs(table, outcome.profile.strategies, cfg.epsilon)
+    payoffs = table_payoffs(table, outcome.profile, cfg.epsilon)
     return ConsensusEquilibrium(outcome.profile, payoffs, True)

@@ -1,9 +1,12 @@
-"""The public API's size, which module knows a table's format, the one sparse format, and the seed-set rule."""
+"""The public API's size, which module knows a table's format, the one sparse format, the seed-set rule,
+and the split between the game and the searches over it."""
 
+import ast
 import re
 from pathlib import Path
 
 import netinfluence
+from netinfluence import game
 
 
 def test_public_api_has_at_most_41_names():
@@ -56,3 +59,22 @@ def test_only_graph_states_the_seed_set_rule():
     assert raised["lists a seed node more than once"] == [("cli.py", True), ("graph.py", False)]
     assert raised["seeds unknown node id"] == [("graph.py", False)]
     assert raised["seeds non-integer node id"] == [("graph.py", False)]
+
+
+def test_game_keeps_the_model_and_solver_keeps_the_scoring_kernel():
+    # The kernel sits beside the searches that call it; solver.py takes only game.py's public names,
+    # and a strategy profile is the tuple of seed sets it holds.
+    kernel = ("_CHUNK_BYTES", "_chunk_items", "_response_terms", "_seed_counts", "_opponent_terms",
+              "_PRODUCT_NODES_PER_SEED", "_score")
+    assert [name for name in kernel if hasattr(game, name)] == []
+    solver_source = (Path(netinfluence.__file__).parent / "solver.py").read_text(encoding="utf-8")
+    imported = [
+        alias.name
+        for node in ast.parse(solver_source).body
+        if isinstance(node, ast.ImportFrom) and node.module == "game"
+        for alias in node.names
+    ]
+    assert imported and [name for name in imported if name.startswith("_")] == []
+    assert issubclass(game.StrategyProfile, tuple)
+    own = {"__init__", "__len__", "__iter__", "__getitem__", "__eq__", "__hash__"} & set(vars(game.StrategyProfile))
+    assert own == set()

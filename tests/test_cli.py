@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from netinfluence import cli, dynamics, game
+from netinfluence import cli, dynamics, game, solver
 from netinfluence import (
     GameConfig,
     build_counterexample,
@@ -278,6 +278,11 @@ def test_centrality_zero_horizon_is_identity(capsys, two_cycle_file):
     assert np.array_equal(table, np.eye(2))
 
 
+def test_centrality_negative_horizon_names_the_flag(capsys, two_cycle_file):
+    code, out, err = run_cli(capsys, ["centrality", "--graph", two_cycle_file, "--horizon", "-1"])
+    assert (code, out, err) == (1, "", "error: --horizon must be non-negative\n")
+
+
 def test_centrality_columns_sum_to_one(capsys, tmp_path):
     gpath = tmp_path / "cx.graph"
     gpath.write_text(dump_graph(build_counterexample(2, 1)))
@@ -374,7 +379,7 @@ def test_centrality_report_memory_does_not_grow_with_its_output(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    allowance = 4 * (4 * game._CHUNK_BYTES)
+    allowance = 4 * (4 * solver._CHUNK_BYTES)
     assert sink.count > allowance
     assert peak < 2 * (8 * n * n) + allowance
 
@@ -574,6 +579,26 @@ def test_nash_dynamics_respects_max_rounds(capsys, tmp_path):
     assert code == 0
     assert field(out, "kind") == ["max_rounds_exhausted"]
     assert len(field(out, "move")) <= 2 * 2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--initial", "/nonexistent/initial.txt"], ["--greedy"], ["--max-rounds", "0"], ["--max-rounds", "7"]],
+    ids=["initial", "greedy", "max-rounds-0", "max-rounds-7"],
+)
+def test_nash_exhaustive_rejects_dynamics_only_flags(capsys, random_graph_file, flag):
+    code, out, err = run_cli(
+        capsys,
+        ["nash", "--graph", random_graph_file, "--budgets", "1,1", "--exhaustive", "--horizon", "2"] + flag,
+    )
+    assert (code, out, err) == (1, "", f"error: {flag[0]} applies only to --dynamics, not --exhaustive\n")
+
+
+def test_nash_exhaustive_takes_the_default_max_rounds(capsys, random_graph_file):
+    # The default cannot be told from an omitted flag, so spelling it out is harmless.
+    argv = ["nash", "--graph", random_graph_file, "--budgets", "1,1", "--exhaustive", "--horizon", "2"]
+    code, out, _ = run_cli(capsys, argv + ["--max-rounds", "100"])
+    assert code == 0 and out.splitlines()[:-1] == run_cli(capsys, argv)[1].splitlines()[:-1]
 
 
 # --- errors and misc ---------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -581,6 +582,23 @@ def test_graph_constructor_rejects_bad_input(node_count, edges, fragment):
 def test_graph_constructor_takes_numpy_integer_ids():
     numpy_ints = Graph(2, [(np.int64(0), np.int32(1), 1.0), (np.uint8(1), 0, 1.0)])
     assert numpy_ints == Graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "weight, written",
+    [("0.5", "'0.5'"), (b"1", "b'1'"), (bytearray(b"1"), r"bytearray\(b'1'\)"), (None, "None"),
+     (1 + 0j, r"\(1\+0j\)"), ([1.0], r"\[1\.0\]")],
+)
+def test_graph_constructor_rejects_non_numeric_weights_naming_the_edge(weight, written):
+    # Weights are numbers: text that ``float`` would parse is rejected like anything it cannot take.
+    with pytest.raises(ValueError, match=rf"^edge \(1, 0\) has a non-numeric weight {written}$"):
+        Graph(2, [(0, 1, 1.0), (1, 0, weight)])
+
+
+def test_graph_constructor_takes_any_real_number_as_a_weight():
+    reals = Graph(2, [(0, 1, np.float32(0.5) * 2), (1, 0, Fraction(3, 3))])
+    assert reals == Graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    assert Graph(2, [(0, 1, 1), (1, 0, np.float64(1.0))]) == reals
 
 
 def test_dump_load_round_trip():

@@ -6,7 +6,7 @@ opponents seed every ``d``-th node, so that rotating a candidate by ``d``
 gives an exactly tied payoff.  The two-cycle and the ring-with-petals graph of
 ``build_counterexample(2, 1)`` are symmetric too, so many seed sets tie
 exactly there.  Opponents may share seeds.  The kernel and exact-scan checks run
-with the small-table product of ``game._score`` off and on, whatever the table's size.
+with the small-table product of ``solver._score`` off and on, whatever the table's size.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ from netinfluence import (
     table_payoffs,
 )
 from netinfluence import solver
-from netinfluence.game import _opponent_terms, _score, assemble_profile
+from netinfluence.game import assemble_profile
+from netinfluence.solver import _opponent_terms, _score
 from oracles import consensus_best_oracle, exhaustive_nash_oracle, greedy_oracle, scan_best_oracle
 
 REGIMES = ("horizon", "consensus")
-PRODUCT_RATIOS = (0, math.inf)  # game._PRODUCT_NODES_PER_SEED: the small-table product never, then always
+PRODUCT_RATIOS = (0, math.inf)  # solver._PRODUCT_NODES_PER_SEED: the small-table product never, then always
 
 
 def product(ratio):
-    return mock.patch("netinfluence.game._PRODUCT_NODES_PER_SEED", ratio)
+    return mock.patch("netinfluence.solver._PRODUCT_NODES_PER_SEED", ratio)
 
 
 @st.composite
@@ -120,7 +121,7 @@ def test_best_responses_match_per_candidate_scan(game):
         with product(ratio):
             fast = scanned()
             assert fast[0] == expected, ratio
-            with mock.patch("netinfluence.game._CHUNK_BYTES", 1):
+            with mock.patch("netinfluence.solver._CHUNK_BYTES", 1):
                 assert fast == scanned(), ratio
     for regime, br in zip(REGIMES, fast[1:]):
         payoff, best, evaluations = greedy_oracle(payoff_table(cfg, regime), i, others, cfg.epsilon, b)
@@ -174,7 +175,7 @@ def test_exact_scan_of_a_csc_table_matches_the_dense_oracle(ratio, size):
     dense = table.toarray()
     combinations = list(solver._combinations(graph.node_count, size))
     expected = scan_best_oracle(dense, 1, others, 1e-6, combinations)
-    with product(ratio), mock.patch("netinfluence.game._CHUNK_BYTES", 1 << 12):  # several chunks
+    with product(ratio), mock.patch("netinfluence.solver._CHUNK_BYTES", 1 << 12):  # several chunks
         found = solver._scan_best(table, 1, others, 1e-6, combinations)
     assert found[1:] == expected[1:]
     assert abs(found[0] - expected[0]) <= 1e-12

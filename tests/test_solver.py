@@ -30,7 +30,7 @@ from netinfluence import (
     utility,
     utility_closed_form,
 )
-from netinfluence import dynamics, game, solver
+from netinfluence import dynamics, solver
 from oracles import dynamics_oracle, greedy_oracle, singleton_equilibria_oracle, stationary_oracle
 
 TWO_CYCLE = load_graph("nodes 2\nedge 0 1 1.0\nedge 1 0 1.0\n")
@@ -93,7 +93,7 @@ def test_exact_evaluation_count_and_cap(monkeypatch):
 @pytest.mark.parametrize("chunk_bytes", [None, 1])  # None: the default; 1 byte: one row per block
 def test_combination_blocks_follow_itertools(monkeypatch, chunk_bytes):
     if chunk_bytes is not None:
-        monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
     cases = [(n, b) for n in range(1, 10) for b in range(1, n + 1)]
     for n, b in cases + [(70, 68)]:  # C(70, 34) and up overflow int64
         blocks = list(solver._combinations(n, b))
@@ -164,7 +164,7 @@ def test_greedy_matches_oracle_holding_or_streaming_entries(horizon, held):
     cfg = GameConfig(graph=random_graph(40, 2, seed=19), budgets=(3, 2), horizon=horizon)
     table = payoff_table(cfg)
     # A dense table under a third full is held; a full one streams its entries on each step.
-    assert (dynamics._held_entries(table, game._chunk_items(1)) is not None) == held
+    assert (dynamics._held_entries(table, solver._chunk_items(1)) is not None) == held
     br = greedy_best_response(cfg, 0, [{5, 9}])
     payoff, best, evaluations = greedy_oracle(table, 0, [{5, 9}], cfg.epsilon, 3)
     assert (br.strategy, br.evaluations) == (frozenset(best), evaluations)
@@ -185,7 +185,7 @@ def test_greedy_memory_stays_within_the_table_when_it_holds_a_dense_tables_entri
     # Measured: 0.99 MB.  The table is 24% full, and its 22k held entries take 0.53 MB, against
     # the table's own 0.72 MB; the rest is a block's temporaries and some n-vectors.
     assert 24 * nonzeros < table.nbytes
-    assert peak < table.nbytes + 2 * game._CHUNK_BYTES + 16 * 8 * cfg.n
+    assert peak < table.nbytes + 2 * solver._CHUNK_BYTES + 16 * 8 * cfg.n
 
 
 def test_greedy_memory_on_a_full_dense_table_stays_within_the_sparse_bound(traced_peak):
@@ -195,7 +195,7 @@ def test_greedy_memory_on_a_full_dense_table_stays_within_the_sparse_bound(trace
     peak = traced_peak(greedy_best_response, cfg, 1, [set(range(6))])
     # Measured: 0.74 MB.  Blocks of a whole chunk's cells made about five arrays that size
     # apiece, and peaked at 2.9 MB; the CSC path's bound is the same.
-    assert peak < 8 * game._CHUNK_BYTES + 16 * 8 * cfg.n
+    assert peak < 8 * solver._CHUNK_BYTES + 16 * 8 * cfg.n
 
 
 # --- improvement dynamics ----------------------------------------------------
@@ -379,15 +379,16 @@ def test_exhaustive_memory_stays_near_the_payoffs_array():
     payoffs = 8 * cfg.m * math.comb(cfg.n, 2) ** 2  # 706 KB for the 44,100 profiles
     # Measured: 1.47 MB, about three chunks above the payoffs array.  Scoring all
     # 210 candidates against all 210 opponent sets at once takes 7.4 MB per temporary.
-    assert peak < payoffs + 4 * game._CHUNK_BYTES
+    assert peak < payoffs + 4 * solver._CHUNK_BYTES
 
 
 def test_exhaustive_later_passes_score_only_live_combinations(monkeypatch):
     cfg = GameConfig(graph=build_counterexample(2, 2), budgets=(2, 2), horizon=2)
     scored = {}  # candidate array -> opponent combinations scored against it
+    score = solver._score
 
     def spy(table, terms, nodes):
-        out = game._score(table, terms, nodes)
+        out = score(table, terms, nodes)
         scored[id(nodes)] = scored.get(id(nodes), 0) + len(out)
         return out
 
@@ -410,7 +411,7 @@ def test_exhaustive_memory_stays_near_the_mask():
         tracemalloc.stop()
     # Measured: 1.67 MB, the 0.19 MB mask and under six chunks of blocks and their temporaries.
     # A pass's whole payoff array, 8 bytes a profile before its cut to a mask, would pass 3 MB.
-    assert peak < 2 * profiles + 7 * game._CHUNK_BYTES
+    assert peak < 2 * profiles + 7 * solver._CHUNK_BYTES
 
 
 def test_exhaustive_cap_is_enforced(monkeypatch):

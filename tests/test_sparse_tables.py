@@ -36,9 +36,9 @@ from netinfluence import (
     utility,
     utility_closed_form,
 )
-from netinfluence import dynamics, game
+from netinfluence import dynamics, game, solver
 from netinfluence.cli import main
-from netinfluence.game import _opponent_terms, _score
+from netinfluence.solver import _opponent_terms, _score
 from oracles import exhaustive_nash_oracle
 
 GRAPH = random_graph(60, 2, seed=5)
@@ -93,8 +93,8 @@ def test_candidate_payoffs_match_dense(monkeypatch, horizon, size):
     def scored(table):
         return _score(table, _opponent_terms(table, others, cfg.epsilon), nodes)
 
-    for chunk_bytes in (game._CHUNK_BYTES, 1):  # 1 byte: one candidate per chunk
-        monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
+    for chunk_bytes in (solver._CHUNK_BYTES, 1):  # 1 byte: one candidate per chunk
+        monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
         expected = scored(payoff_table(cfg))
         with sparse_operators():
             table = payoff_table(cfg)
@@ -119,7 +119,7 @@ def test_best_responses_match_dense(horizon):
 @pytest.mark.parametrize("chunk_bytes", [None, 1])  # 1 byte: one table column per block
 def test_greedy_matches_dense(monkeypatch, chunk_bytes):
     if chunk_bytes is not None:
-        monkeypatch.setattr(game, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
     others = [frozenset({8, 21}), frozenset({8, 30, 41})]
     for horizon in (1, 2, 3):
         cfg = GameConfig(GRAPH, (2, 6, 3), horizon=horizon)
@@ -145,7 +145,7 @@ def test_greedy_memory_stays_within_chunks_on_a_sparse_table():
     # Measured: 1.78 MB, under seven chunks: a block's columns, its temporaries and some
     # n-vectors.  The table's 251k entries take 3.0 MB, and each temporary of a pass
     # over all of them at once would take 2.0 MB.
-    assert peak < 8 * game._CHUNK_BYTES + 16 * 8 * cfg.n
+    assert peak < 8 * solver._CHUNK_BYTES + 16 * 8 * cfg.n
 
 
 def test_equilibrium_search_matches_dense():
@@ -177,7 +177,7 @@ def test_equilibrium_search_matches_dense():
 def test_exhaustive_matches_oracle_one_candidate_per_chunk(monkeypatch, graph, budgets):
     """A 1-byte chunk scores one candidate against one opponent combination at a time."""
     cfg = GameConfig(graph, budgets, horizon=1)
-    monkeypatch.setattr(game, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
     for regime in ("horizon", "consensus"):
         expected = exhaustive_nash_oracle(cfg, regime)
         assert [p.canonical() for p in exhaustive_nash_check(cfg, regime=regime)] == expected
