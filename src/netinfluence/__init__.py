@@ -24,7 +24,6 @@ from .dynamics import (
 from .game import (
     GameConfig,
     StrategyProfile,
-    as_profile,
     assemble_profile,
     check_profile,
     consensus_utility,
@@ -78,7 +77,6 @@ __all__ = [
     "PowerIterationError",
     "StrategyProfile",
     "ValidationReport",
-    "as_profile",
     "assemble_profile",
     "best_response_dynamics",
     "build_counterexample",

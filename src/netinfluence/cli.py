@@ -19,19 +19,21 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    OpinionState,
     _columns,
     consensus_reached,
     diffusion_centrality_matrix,
     eigenvector_weights,
     evolve,
     influence_matrix,
-    initialize,
+    seeded_opinions,
 )
 from .game import GameConfig, StrategyProfile, _mixing_matrix, _shares, check_profile
 from .graph import (
     Graph,
     GraphFormatError,
     _LineError,
+    _count,
     _tolerance,
     build_counterexample,
     dump_graph,
@@ -189,10 +191,10 @@ def cmd_simulate(args) -> int:
     report.param("normalize", str(args.normalize).lower())
     report.param("consensus_tol", fmt(args.consensus_tol))
 
-    # The same products as ``utility``, stepped one at a time so the trace can print.
+    # ``utility``'s checks and products, stepped one at a time so the trace can print.
     check_profile(cfg, profile)
     gamma = _mixing_matrix(cfg.graph, cfg.alpha)
-    final = initialize(cfg.graph, profile, cfg.epsilon)
+    final = OpinionState(0, seeded_opinions(cfg.n, profile, cfg.epsilon))
     for t in range(cfg.horizon + 1):
         if t:
             final = evolve(final, gamma, 1)
@@ -213,8 +215,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_centrality(args) -> int:
     report = Report("centrality", args.structured)
-    if not args.eigen and args.horizon < 0:
-        raise ValueError("--horizon must be non-negative")
+    if not args.eigen:
+        _count(args.horizon, "--horizon")
     g = _read_graph(args.graph, args.normalize)
     gamma = influence_matrix(g, args.alpha)
 
@@ -279,6 +281,8 @@ def cmd_nash(args) -> int:
     stray = [flag for flag, on in given.items() if on and args.exhaustive]
     if stray:
         raise ValueError(f"{stray[0]} applies only to --dynamics, not --exhaustive")
+    if args.dynamics:
+        _count(args.max_rounds, "--max-rounds", 1)
     g = _read_graph(args.graph, args.normalize)
 
     report.param("graph", args.graph)

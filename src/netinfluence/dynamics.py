@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph, _integer, _spans, _tolerance, check_seed_ids, seed_set, validate
+from .graph import Graph, _count, _spans, _tolerance, check_seed_ids, seed_set, validate
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -154,9 +154,7 @@ def evolve(state: OpinionState, gamma: InfluenceMatrix, t_steps: int) -> Opinion
     Repeated matrix-vector products keep memory flat and error growth mild,
     so this never forms an explicit matrix power.
     """
-    t_steps = _integer(t_steps, "non-integer t_steps")
-    if t_steps < 0:
-        raise ValueError("t_steps must be non-negative")
+    t_steps = _count(t_steps, "t_steps")
     if state.opinions.shape[0] != gamma.n:
         raise ValueError(
             f"state carries {state.opinions.shape[0]} nodes but the operator has {gamma.n}"
@@ -192,9 +190,7 @@ def diffusion_centrality_matrix(
     turns dense and the remaining products are dense.  Either way the entries
     equal those of the dense products within rounding.
     """
-    t_steps = _integer(t_steps, "non-integer t_steps")
-    if t_steps < 0:
-        raise ValueError("t_steps must be non-negative")
+    t_steps = _count(t_steps, "t_steps")
     n, op = gamma.n, gamma.entries
     table = _start
     for _ in range(t_steps):

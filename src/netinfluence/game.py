@@ -29,7 +29,7 @@ from .dynamics import (
     influence_matrix,
     seeded_opinions,
 )
-from .graph import Graph, _integer, check_seed_ids, seed_set
+from .graph import Graph, _count, _integer, check_seed_ids, seed_set
 
 if TYPE_CHECKING:
     from scipy import sparse as _sparse
@@ -58,8 +58,7 @@ class GameConfig:
             raise ValueError("need at least two players")
         if any(b < 1 for b in self.budgets):
             raise ValueError("every budget must be at least one")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least one")
+        _count(self.horizon, "horizon", 1)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not 0 < self.epsilon < 1.0 / (2 * self.m):
@@ -77,15 +76,17 @@ class GameConfig:
 class StrategyProfile(tuple):
     """Per-player seed sets: a tuple of frozensets.
 
-    Accepts any iterable of per-player node iterables; a player listing the
-    same node twice is an input error rather than a double weight
-    (``graph.seed_set``).  Profiles compare and hash as their tuple, so they
-    can key caches and cycle-detection tables.
+    Accepts any iterable of per-player node iterables, and returns a profile
+    as it is; a player listing the same node twice is an input error rather
+    than a double weight (``graph.seed_set``).  Profiles compare and hash as
+    their tuple, so they can key caches and cycle-detection tables.
     """
 
     __slots__ = ()
 
     def __new__(cls, seed_sets: Iterable[Iterable[int]]):
+        if isinstance(seed_sets, StrategyProfile):
+            return seed_sets
         return super().__new__(cls, (seed_set(i, s) for i, s in enumerate(seed_sets)))
 
     @property
@@ -107,11 +108,6 @@ class StrategyProfile(tuple):
         return StrategyProfile(sets)
 
 
-def as_profile(profile) -> StrategyProfile:
-    """Coerce raw per-player seed collections into a StrategyProfile."""
-    return profile if isinstance(profile, StrategyProfile) else StrategyProfile(profile)
-
-
 def check_seed_set(cfg: GameConfig, i: int, s) -> frozenset[int]:
     """Player ``i``'s seed ids as a frozenset, validated against a configuration.
 
@@ -129,8 +125,8 @@ def check_seed_set(cfg: GameConfig, i: int, s) -> frozenset[int]:
 
 
 def check_profile(cfg: GameConfig, profile) -> StrategyProfile:
-    """``as_profile(profile)``, its player count validated, then each seed set via ``check_seed_set``."""
-    profile = as_profile(profile)
+    """``StrategyProfile(profile)``, its player count validated, then each seed set via ``check_seed_set``."""
+    profile = StrategyProfile(profile)
     if len(profile) != cfg.m:
         raise ValueError(f"profile has {len(profile)} players but the game has {cfg.m}")
     for i, s in enumerate(profile):

@@ -96,6 +96,14 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r}") from None
 
 
+def _count(value, what: str, least: int = 0) -> int:
+    """``value`` as an integer (``_integer``) of at least ``least``, 0 or 1; else a ValueError naming ``what``."""
+    value = _integer(value, f"non-integer {what}")
+    if value < least:
+        raise ValueError(f"{what} must be {'at least one' if least else 'non-negative'}")
+    return value
+
+
 def _tolerance(tol: float, what: str = "tol") -> float:
     """``tol`` when positive and finite, else a ValueError ``<what> must be positive and finite``."""
     if not 0 < tol < math.inf:
@@ -542,10 +550,10 @@ def random_graph(n: int, out_degree: int, seed: int) -> Graph:
     Args:
         n: number of nodes (at least 2).
         out_degree: out-edges per node, between 1 and ``n - 1``.
-        seed: seed for the random number generator.
+        seed: seed for the random number generator (at least 0).
     """
     n, out_degree = _integer(n, "non-integer node count"), _integer(out_degree, "non-integer out_degree")
-    seed = _integer(seed, "non-integer seed")
+    seed = _count(seed, "seed")
     if n < 2:
         raise ValueError("need at least two nodes")
     if not 1 <= out_degree < n:

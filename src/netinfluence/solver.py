@@ -33,7 +33,7 @@ from .game import (
     payoff_table,
     table_payoffs,
 )
-from .graph import _integer
+from .graph import _count
 
 IMPROVEMENT_TOL = 1e-12
 EXACT_ENUMERATION_CAP = 5_000_000
@@ -328,9 +328,7 @@ def best_response_dynamics(
     ``EnumerationCapError`` past ``EXACT_ENUMERATION_CAP`` candidate sets.
     """
     profile = check_profile(cfg, initial)
-    max_rounds = _integer(max_rounds, "non-integer max_rounds")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least one")
+    max_rounds = _count(max_rounds, "max_rounds", 1)
     table = payoff_table(cfg, regime)
     respond = exact_best_response if use_exact else greedy_best_response
 

@@ -1,5 +1,5 @@
-"""The public API's size, which module knows a table's format, the one sparse format, the seed-set rule,
-and the split between the game and the searches over it."""
+"""The public API's size, which module knows a table's format, the one sparse format, the seed-set and count
+rules, and the split between the game and the searches over it."""
 
 import ast
 import re
@@ -59,6 +59,18 @@ def test_only_graph_states_the_seed_set_rule():
     assert raised["lists a seed node more than once"] == [("cli.py", True), ("graph.py", False)]
     assert raised["seeds unknown node id"] == [("graph.py", False)]
     assert raised["seeds non-integer node id"] == [("graph.py", False)]
+
+
+def test_only_graph_states_the_count_rule_and_only_strategy_profile_makes_a_profile():
+    # Steps, horizons, rounds and seeds are checked by graph._count, which composes these
+    # messages from the name its caller passes; a profile is made, or passed through, by
+    # StrategyProfile alone.
+    source = Path(netinfluence.__file__).parent
+    for module in sorted(source.glob("*.py")):
+        text = module.read_text(encoding="utf-8")
+        for message in ("t_steps must be", "max_rounds must be", "horizon must be", "seed must be"):
+            assert message not in text, f"{module.name}: {message}"
+    assert not hasattr(netinfluence, "as_profile") and not hasattr(game, "as_profile")
 
 
 def test_game_keeps_the_model_and_solver_keeps_the_scoring_kernel():

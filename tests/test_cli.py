@@ -601,6 +601,16 @@ def test_nash_exhaustive_takes_the_default_max_rounds(capsys, random_graph_file)
     assert code == 0 and out.splitlines()[:-1] == run_cli(capsys, argv)[1].splitlines()[:-1]
 
 
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_nash_dynamics_max_rounds_below_one_names_the_flag(capsys, random_graph_file, rounds):
+    code, out, err = run_cli(
+        capsys,
+        ["nash", "--graph", random_graph_file, "--budgets", "1,1", "--dynamics", "--horizon", "2",
+         f"--max-rounds={rounds}"],
+    )
+    assert (code, out, err) == (1, "", "error: --max-rounds must be at least one\n")
+
+
 # --- errors and misc ---------------------------------------------------------
 
 
@@ -1001,6 +1011,86 @@ def test_alpha_and_epsilon_are_echoed_in_both_layouts(echo_files, command, alpha
             assert main(argv + layout) == 0
         lines = out.getvalue().splitlines()
         assert alpha_line in lines and epsilon_line in lines
+
+
+# A valid value for every numeric flag of each subcommand, one string per number it takes (a budget
+# list takes several), and the other flags its runs take.  Each run has two players: 1/(2m) is 0.25.
+NUMERIC_FLAGS = {
+    "simulate": (
+        {"--alpha": ("0.5",), "--epsilon": ("1e-6",), "--horizon": ("1",), "--budgets": ("1", "1"),
+         "--consensus-tol": ("1e-8",)},
+        ["--graph", "g.graph", "--strategies", "profile.txt", "--state", "--trace"],
+    ),
+    "centrality": ({"--alpha": ("0.5",), "--horizon": ("1",)}, ["--graph", "g.graph"]),
+    "best-response": (
+        {"--alpha": ("0.5",), "--epsilon": ("1e-6",), "--horizon": ("1",), "--player": ("1",), "--budget": ("1",)},
+        ["--graph", "g.graph", "--opponents", "opponents.txt", "--exact", "--greedy"],
+    ),
+    "nash": (
+        {"--alpha": ("0.5",), "--epsilon": ("1e-6",), "--horizon": ("1",), "--budgets": ("1", "1"),
+         "--max-rounds": ("2",)},
+        ["--graph", "g.graph", "--dynamics"],
+    ),
+    "generate": ({"--counterexample": ("2", "1"), "--random": ("6", "2", "1")}, []),
+}
+FLOAT_LIMITS = {"--alpha": ["1"], "--epsilon": ["0.25"]}
+# The flags, or the numbers of a several-number flag by metavar, whose errors name them: what they say.
+NAMED_IN_ERRORS = {
+    "--max-rounds": "--max-rounds must be at least one",
+    "SEED": "seed must be non-negative",
+    "--horizon": "horizon",
+    "--consensus-tol": "--consensus-tol",
+    "--alpha": "alpha",
+    "--epsilon": "epsilon",
+}
+
+
+def numeric_boundary_runs():
+    """(argv, name) for every boundary value of every numeric flag, one number at a time; files are relative.
+
+    Values go as ``--flag=value``, so that argparse reads ``-1,1`` as a value, not a flag.
+    """
+    runs = []
+    for command, (valid, others) in NUMERIC_FLAGS.items():
+        sub = subparsers(cli._build_parser(command))[command]
+        numeric = {a.option_strings[0]: a for a in sub._actions if a.type in (int, float, cli._budgets_arg)}
+        assert list(numeric) == list(valid), command  # a new numeric flag needs a valid value here
+
+        def tokens(flag, values):
+            return [f"{flag}={','.join(values)}"] if numeric[flag].nargs is None else [flag, *values]
+
+        for flag, action in numeric.items():
+            groups = [g._group_actions for g in sub._mutually_exclusive_groups if action in g._group_actions]
+            apart = {action, *sum(groups, [])}  # the flag and those it excludes
+            rest = [t for other, b in numeric.items() if b not in apart for t in tokens(other, valid[other])]
+            boundary = ["0", "-1"]
+            if action.type is float:
+                boundary += ["nan", "inf", *FLOAT_LIMITS.get(flag, [])]
+            for k in range(len(valid[flag])):
+                name = action.metavar[k] if action.nargs else flag
+                for bad in boundary:
+                    values = (*valid[flag][:k], bad, *valid[flag][k + 1 :])
+                    runs.append(([command, *others, *rest, *tokens(flag, values)], name))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "argv, name", numeric_boundary_runs(), ids=lambda x: " ".join(x) if isinstance(x, list) else x
+)
+def test_every_numeric_flag_at_its_boundaries_reports_or_fails_in_one_line(capsys, echo_files, argv, name):
+    argv = [str(echo_files / a) if a.endswith((".graph", ".txt")) else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    if code == 0:
+        assert err == ""
+        if argv[0] == "generate":
+            load_graph(out)
+        else:
+            assert out.splitlines()[-1].startswith("elapsed ") and out.endswith(" ms\n")
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        if name in NAMED_IN_ERRORS:
+            assert NAMED_IN_ERRORS[name] in err
 
 
 def test_reports_are_deterministic_apart_from_timing(capsys, two_cycle_file, two_cycle_seeds):

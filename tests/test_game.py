@@ -12,7 +12,6 @@ from scipy import sparse as sp
 from netinfluence import (
     GameConfig,
     StrategyProfile,
-    as_profile,
     assemble_profile,
     best_response_dynamics,
     build_counterexample,
@@ -98,28 +97,28 @@ def test_profile_replace_is_functional():
     assert b.canonical() == ((0,), (0,)) and a.canonical() == ((0,), (1,))
 
 
-def test_as_profile_accepts_sets_and_passthrough():
-    p = as_profile([{1, 0}, {2}])
+def test_strategy_profile_accepts_sets_and_passes_a_profile_through():
+    p = StrategyProfile([{1, 0}, {2}])
     assert isinstance(p, StrategyProfile)
-    assert as_profile(p) is p
+    assert StrategyProfile(p) is p
 
 
 def test_check_profile_enforces_budget_and_nodes():
     cfg = two_cycle_config()
-    check_profile(cfg, as_profile([{0}, {1}]))
+    check_profile(cfg, StrategyProfile([{0}, {1}]))
     with pytest.raises(ValueError, match="budget"):
-        check_profile(cfg, as_profile([{0, 1}, {1}]))
+        check_profile(cfg, StrategyProfile([{0, 1}, {1}]))
     with pytest.raises(ValueError, match="unknown node"):
-        check_profile(cfg, as_profile([{0}, {5}]))
+        check_profile(cfg, StrategyProfile([{0}, {5}]))
     with pytest.raises(ValueError, match="players"):
-        check_profile(cfg, as_profile([{0}, {1}, {0}]))
+        check_profile(cfg, StrategyProfile([{0}, {1}, {0}]))
     with pytest.raises(ValueError, match="empty"):
-        check_profile(cfg, as_profile([{0}, set()]))
+        check_profile(cfg, StrategyProfile([{0}, set()]))
 
 
 def test_check_profile_returns_the_profile_it_checked():
     cfg = two_cycle_config()
-    profile = as_profile([{0}, {1}])
+    profile = StrategyProfile([{0}, {1}])
     assert check_profile(cfg, profile) is profile
     assert check_profile(cfg, [[0], (1,)]) == profile
     with pytest.raises(ValueError, match="player 1 lists a seed node more than once"):
@@ -505,6 +504,24 @@ def test_every_count_takes_numpy_integers_as_ints():
     assert evolve(state, gamma, np.int16(2)).t == 2
     assert np.array_equal(diffusion_centrality_matrix(gamma, np.int64(2)), diffusion_centrality_matrix(gamma, 2))
     assert best_response_dynamics(cfg, [[0], [1]], max_rounds=np.int64(1)).rounds == 1
+
+
+@pytest.mark.parametrize("bad", [-1, np.int64(-2)])
+def test_every_count_below_its_least_is_one_error_naming_the_count(bad):
+    cfg = GameConfig(graph=random_graph(10, 3, seed=1), budgets=(2, 2), horizon=2)
+    gamma = influence_matrix(cfg.graph, cfg.alpha)
+    state = initialize(cfg.graph, [[0], [1]], cfg.epsilon)
+    calls = [
+        ("t_steps must be non-negative", lambda: evolve(state, gamma, bad)),
+        ("t_steps must be non-negative", lambda: diffusion_centrality_matrix(gamma, bad)),
+        ("seed must be non-negative", lambda: random_graph(10, 3, bad)),
+        ("horizon must be at least one", lambda: GameConfig(cfg.graph, (2, 2), horizon=bad + 1)),
+        ("max_rounds must be at least one", lambda: best_response_dynamics(cfg, [[0], [1]], max_rounds=bad + 1)),
+    ]
+    for message, call in calls:
+        with pytest.raises(ValueError) as exc_info:
+            call()
+        assert str(exc_info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from netinfluence import (
     EnumerationCapError,
     GameConfig,
     StrategyProfile,
-    as_profile,
     best_response_dynamics,
     build_counterexample,
     consensus_equilibrium,
@@ -205,7 +204,7 @@ def test_dynamics_stays_put_at_an_equilibrium():
     cfg = GameConfig(graph=TWO_CYCLE, budgets=(1, 1), horizon=3)
     outcome = best_response_dynamics(cfg, [{0}, {1}])
     assert outcome.kind == "equilibrium"
-    assert outcome.profile == as_profile([{0}, {1}])
+    assert outcome.profile == StrategyProfile([{0}, {1}])
     assert outcome.trace == ()
     assert outcome.rounds == 1
 
@@ -236,7 +235,7 @@ def test_dynamics_counts_round_start_profiles_until_a_cycle():
     outcome = best_response_dynamics(cfg, [{0}, {0}])
     assert outcome.kind == "cycle_detected"
     # Play capped at r rounds ends at the profile that starts round r + 1.
-    starts = [as_profile([{0}, {0}])]
+    starts = [StrategyProfile([{0}, {0}])]
     while True:
         capped = best_response_dynamics(cfg, [{0}, {0}], max_rounds=len(starts))
         assert capped.rounds == len(starts)
@@ -264,7 +263,7 @@ def test_dynamics_trace_moves_are_consistent():
     g = build_counterexample(2, 1)
     cfg = GameConfig(graph=g, budgets=(1, 1), horizon=1)
     outcome = best_response_dynamics(cfg, [{0}, {0}])
-    current = as_profile([{0}, {0}])
+    current = StrategyProfile([{0}, {0}])
     for move in outcome.trace:
         assert frozenset(current.canonical()[move.player]) == move.old
         current = current.replace(move.player, move.new)
